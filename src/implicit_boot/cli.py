@@ -17,9 +17,8 @@ import numpy as np
 from . import engines, harness
 from .errors import (ConfigError, ExcessExclusions, ImplicitBootError,
                      ParseError)
-from .matcher import MatchPath, SolverConfig
-from .models import Dataset, make_model
-from .rng import MasterSeed
+from .matcher import MatchPath
+from .models import Dataset
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -87,37 +86,15 @@ def _read_data(path: str) -> Dataset:
 def _cmd_ci(args) -> int:
     cfg = harness.load_config(args.config)
     data = _read_data(args.data)
-    model = make_model(cfg.model, n=data.n)
-    est = harness.make_estimator(cfg.estimator, model)
-    base = harness.make_estimator(cfg.baseline_estimator or cfg.estimator,
-                                  model)
-    psi = harness.make_psi(cfg.psi, model)
-    master = MasterSeed(cfg.master_seed)
-    alpha = cfg.alphas[-1] if len(cfg.alphas) > 1 else cfg.alphas[0]
+    model, est, base, psi, master = harness.setup(cfg, n=data.n)
     for meth in cfg.methods:
-        if meth == "implicit":
-            _, ci = engines.implicit_bootstrap(
-                data, model, est, psi, cfg.B, master, SolverConfig(),
-                MatchPath(cfg.match_path), alpha=alpha,
-                two_sided=cfg.two_sided)
-        elif meth == "percentile":
-            _, ci = engines.percentile_parametric_bootstrap(
-                data, model, base, psi, cfg.B, master, alpha=alpha,
-                two_sided=cfg.two_sided)
-        elif meth == "studentized":
-            ci = engines.studentized_bootstrap(
-                data, model, base, psi, cfg.B, master, alpha=alpha,
-                two_sided=cfg.two_sided)
-        elif meth == "bca":
-            ci = engines.bca_bootstrap(
-                data, model, base, psi, cfg.B, master, alpha=alpha,
-                two_sided=cfg.two_sided)
-        else:
-            ci = engines.asymptotic_ci(
-                data, model, base, psi, alpha=alpha, two_sided=cfg.two_sided,
-                cov=cfg.asymptotic_cov, master=master)
-        print(f"{meth}\talpha={alpha}\t[{ci.lower:.6g}, {ci.upper:.6g}]\t"
-              f"point={ci.point:.6g}")
+        family = engines.METHOD_REGISTRY[meth](
+            data, model, est, base, psi, cfg.B, master,
+            path=MatchPath(cfg.match_path), cov=cfg.asymptotic_cov)
+        lower, upper = family.endpoints(cfg.alphas, cfg.two_sided)
+        for alpha, lo, hi in zip(cfg.alphas, lower, upper):
+            print(f"{meth}\talpha={alpha}\t[{lo:.6g}, {hi:.6g}]\t"
+                  f"point={family.point:.6g}")
     return EXIT_OK
 
 

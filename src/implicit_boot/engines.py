@@ -14,6 +14,12 @@ interval for a scalar functional psi(theta):
 * ``indirect_inference_correct`` -- consistency correction of a biased
   estimator by matching its average over frozen simulated samples.
 
+``METHOD_REGISTRY`` maps each :class:`CIMethod` name to a function that
+fits once and returns an :class:`IntervalFamily`, the method's intervals
+at every confidence level; the one-level functions above read one level
+off it.  The coverage harness, the bench and the CLI all go through the
+registry, so a new method is one entry here.
+
 All randomness is keyed by (replicate_id, role, draw index), so every engine
 is a deterministic function of its master seed and reentrant across threads.
 """
@@ -24,6 +30,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy import optimize, special
@@ -36,19 +43,18 @@ from .matcher import (BoxTransform, MatchPath, SolverConfig, _initial_theta,
                       batched_switched_match, closed_form_match, nested_match,
                       supports_batch, switched_match)
 from .models import Dataset, ModelSpec, ParamVector
-from .rng import MasterSeed, RandomBlock, Role, StreamKey, derive_seed, \
-    derive_seeds, draw_block, draw_uniforms
+from .rng import MasterSeed, RandomBlock, Role, derive_seeds, draw_uniforms
 
 __all__ = [
     "CIMethod",
     "DistributionSample",
     "CIResult",
+    "IntervalFamily",
+    "METHOD_REGISTRY",
     "empirical_quantile",
     "implicit_bootstrap",
     "percentile_parametric_bootstrap",
-    "studentized_pivots",
     "studentized_bootstrap",
-    "bca_components",
     "bca_level",
     "jackknife_acceleration",
     "bca_bootstrap",
@@ -100,6 +106,27 @@ class CIResult:
             raise DomainError(f"empty interval: [{self.lower}, {self.upper}]")
 
 
+@dataclass(frozen=True)
+class IntervalFamily:
+    """One method's intervals at every confidence level, from one fit.
+
+    ``endpoints(alphas, two_sided)`` returns the arrays (lower, upper), one
+    entry per level; lower is -inf throughout in one-sided mode.  ``delta``
+    is the mean matching gap of the implicit method, NaN for the others.
+    """
+
+    method: CIMethod
+    point: float
+    endpoints: Callable
+    meta: dict = field(default_factory=dict)
+    delta: float = float("nan")
+
+    def at(self, alpha: float, two_sided: bool = False) -> CIResult:
+        lower, upper = self.endpoints([alpha], two_sided)
+        return CIResult(self.method, alpha, float(lower[0]), float(upper[0]),
+                        self.point, self.meta)
+
+
 def empirical_quantile(sample, alpha: float) -> float:
     """Left-continuous empirical quantile: order statistic k = ceil(alpha*B).
 
@@ -116,6 +143,23 @@ def empirical_quantile(sample, alpha: float) -> float:
     return float(np.partition(values, k - 1)[k - 1])
 
 
+def _quantiles(sample, levels) -> np.ndarray:
+    return np.array([empirical_quantile(sample, level) for level in levels])
+
+
+def _percentile_endpoints(sample, adjust=lambda level: level):
+    """Endpoints read off ``sample`` at the tail levels of each alpha, each
+    level first passed through ``adjust``."""
+    def endpoints(alphas, two_sided):
+        alphas = np.asarray(alphas, dtype=float)
+        if two_sided:
+            return (_quantiles(sample, map(adjust, (1.0 - alphas) / 2.0)),
+                    _quantiles(sample, map(adjust, (1.0 + alphas) / 2.0)))
+        return (np.full(alphas.shape, -np.inf),
+                _quantiles(sample, map(adjust, alphas)))
+    return endpoints
+
+
 def _as_psi(psi, model: ModelSpec):
     if psi is None:
         return model.default_psi
@@ -127,13 +171,6 @@ def _as_psi(psi, model: ModelSpec):
 
 def _psi_rows(psi, thetas: np.ndarray) -> np.ndarray:
     return np.array([psi(t) for t in np.atleast_2d(thetas)], dtype=float)
-
-
-def _percentile_interval(sample, alpha: float, two_sided: bool):
-    if two_sided:
-        return (empirical_quantile(sample, (1.0 - alpha) / 2.0),
-                empirical_quantile(sample, (1.0 + alpha) / 2.0))
-    return -np.inf, empirical_quantile(sample, alpha)
 
 
 def _boot_blocks(master: MasterSeed, replicate_id: int, B: int, m: int) -> np.ndarray:
@@ -165,13 +202,12 @@ def implicit_bootstrap(data: Dataset, model: ModelSpec, est: Estimator,
     _warn_small_B(B)
     psi = _as_psi(psi, model)
     pi_obs = est.estimate(data)
-    m = model.noise_dim(data.n)
+    U = _boot_blocks(master, replicate_id, B, model.noise_dim(data.n))
     tol_flag = 0.5 * data.n ** -1.5 * max(1.0, float(np.linalg.norm(pi_obs.pi)))
 
     thetas, deltas, converged = [], [], []
     failed = 0
     if path is MatchPath.CLOSED_FORM:
-        U = _boot_blocks(master, replicate_id, B, m)
         stats = exact.summaries_from_uniforms(model.name, U)
         for b in range(B):
             res = closed_form_match(model.name, pi_obs, stats[b])
@@ -179,16 +215,13 @@ def implicit_bootstrap(data: Dataset, model: ModelSpec, est: Estimator,
             deltas.append(res.delta)
             converged.append(res.converged)
     elif path is MatchPath.SWITCHED and supports_batch(model, est) and est.has_z:
-        U = _boot_blocks(master, replicate_id, B, m)
         th, dl, cv, _ = batched_switched_match(pi_obs, model, est, U, cfg)
         thetas, deltas, converged = list(th), list(dl), list(cv)
     else:
         solver = switched_match if path is MatchPath.SWITCHED else nested_match
-        for b in range(1, B + 1):
-            key = StreamKey(replicate_id, Role.BOOT, b)
-            block = draw_block(derive_seed(master, key), m)
+        for u in U:
             try:
-                res = solver(pi_obs, model, est, block, cfg)
+                res = solver(pi_obs, model, est, RandomBlock(u=u), cfg)
             except ImplicitBootError:
                 failed += 1
                 continue
@@ -206,13 +239,34 @@ def implicit_bootstrap(data: Dataset, model: ModelSpec, est: Estimator,
     sample = DistributionSample(_psi_rows(psi, thetas),
                                 flags={"converged": converged,
                                        "delta_flag": delta_flag})
-    lo, hi = _percentile_interval(sample, alpha, two_sided)
     meta = {"B": sample.B, "failed": failed,
             "delta_flag_frac": float(np.mean(delta_flag)),
             "mean_delta": float(np.mean(deltas))}
-    ci = CIResult(CIMethod.IMPLICIT, alpha, lo, hi,
-                  empirical_quantile(sample, 0.5), meta)
-    return sample, ci
+    lower, upper = _percentile_endpoints(sample)([alpha], two_sided)
+    return sample, CIResult(CIMethod.IMPLICIT, alpha, float(lower[0]),
+                            float(upper[0]), empirical_quantile(sample, 0.5), meta)
+
+
+def _re_estimates(theta: np.ndarray, model: ModelSpec, est: Estimator,
+                  U: np.ndarray):
+    """Estimates on datasets simulated at ``theta``, one per noise row of U.
+
+    Rows without an estimate (a raise, or the NaN row a batched estimator
+    returns) are dropped.  Returns (estimates (k, p), dropped).
+    """
+    if hasattr(model, "simulate_batch") and hasattr(est, "estimate_batch"):
+        batch = model.simulate_batch(np.tile(theta, (U.shape[0], 1)), U)
+        stars = np.asarray(est.estimate_batch(batch), dtype=float)
+    else:
+        stars = []
+        for u in U:
+            try:
+                stars.append(est.estimate(model.simulate(theta, RandomBlock(u=u))).pi)
+            except ImplicitBootError:
+                stars.append(np.full(np.shape(theta), np.nan))
+        stars = np.asarray(stars, dtype=float)
+    good = np.all(np.isfinite(stars), axis=1)
+    return stars[good], int(np.sum(~good))
 
 
 def _resample_thetas(data, model, est, B, master, replicate_id):
@@ -221,28 +275,11 @@ def _resample_thetas(data, model, est, B, master, replicate_id):
     Returns (theta_hat, theta_stars, failed).
     """
     theta_hat = model.box.clamp(est.estimate(data).pi)
-    m = model.noise_dim(data.n)
-    if hasattr(model, "simulate_batch") and hasattr(est, "estimate_batch"):
-        U = _boot_blocks(master, replicate_id, B, m)
-        batch = model.simulate_batch(np.tile(theta_hat, (B, 1)), U)
-        stars = np.asarray(est.estimate_batch(batch), dtype=float)
-        # batched estimators mark rows without a solution as NaN
-        good = np.all(np.isfinite(stars), axis=1)
-        failed = int(np.sum(~good))
-        if failed > B // 2:
-            raise NonConvergence(f"{failed}/{B} bootstrap re-estimates failed")
-        return theta_hat, stars[good], failed
-    stars, failed = [], 0
-    for b in range(1, B + 1):
-        key = StreamKey(replicate_id, Role.BOOT, b)
-        block = draw_block(derive_seed(master, key), m)
-        try:
-            stars.append(est.estimate(model.simulate(theta_hat, block)).pi)
-        except ImplicitBootError:
-            failed += 1
+    U = _boot_blocks(master, replicate_id, B, model.noise_dim(data.n))
+    stars, failed = _re_estimates(theta_hat, model, est, U)
     if failed > B // 2:
         raise NonConvergence(f"{failed}/{B} bootstrap re-estimates failed")
-    return theta_hat, np.asarray(stars, dtype=float), failed
+    return theta_hat, stars, failed
 
 
 def percentile_parametric_bootstrap(data: Dataset, model: ModelSpec,
@@ -258,20 +295,24 @@ def percentile_parametric_bootstrap(data: Dataset, model: ModelSpec,
     theta_hat, stars, failed = _resample_thetas(data, model, consistent_est,
                                                 B, master, replicate_id)
     sample = DistributionSample(_psi_rows(psi, stars))
-    lo, hi = _percentile_interval(sample, alpha, two_sided)
-    meta = {"B": sample.B, "failed": failed}
-    ci = CIResult(CIMethod.PERCENTILE, alpha, lo, hi, psi(theta_hat), meta)
-    return sample, ci
+    lower, upper = _percentile_endpoints(sample)([alpha], two_sided)
+    return sample, CIResult(CIMethod.PERCENTILE, alpha, float(lower[0]),
+                            float(upper[0]), psi(theta_hat),
+                            {"B": sample.B, "failed": failed})
 
 
-def observed_information(loglik, theta: np.ndarray) -> np.ndarray:
+def observed_information(loglik, theta: np.ndarray, box=None) -> np.ndarray:
     """Negative Hessian of a log-likelihood by central differences.
 
-    Step per coordinate: eps^(1/3) * (1 + |theta_j|).
+    Step per coordinate: eps^(1/3) * (1 + |theta_j|).  Given the parameter
+    ``box``, a theta within two steps of a bound is first moved two steps
+    inside it, so that no evaluation leaves the parameter space.
     """
     theta = np.asarray(theta, dtype=float)
     p = theta.shape[0]
     h = np.finfo(float).eps ** (1.0 / 3.0) * (1.0 + np.abs(theta))
+    if box is not None:
+        theta = np.clip(theta, box.lower + 2.0 * h, box.upper - 2.0 * h)
     H = np.empty((p, p))
     f0 = loglik(theta)
     for i in range(p):
@@ -311,41 +352,46 @@ def _delta_method_sigma(psi, theta: np.ndarray, info: np.ndarray) -> float:
     return math.sqrt(var)
 
 
-def studentized_pivots(data: Dataset, model: ModelSpec, est_mle: Estimator,
-                       psi=None, B: int = 1000,
-                       master: MasterSeed = MasterSeed(0),
-                       replicate_id: int = 0):
-    """Bootstrap-t ingredients: (pivot sample, psi_hat, sigma_hat, failed).
-
-    Computed once, the pivots serve every confidence level.
-    """
+def _studentized(data, model, est, base, psi, B, master, *,
+                 path=MatchPath.SWITCHED, cov="information", replicate_id=0):
+    """Bootstrap-t family: pivots (psi_b - psi_hat) / sigma_b from B refits
+    of ``base``, each scaled by the delta method at its own fit."""
     if not model.has_loglik:
         raise SingularInformation(f"{model.name} exposes no log-likelihood")
+    _warn_small_B(B)
     psi = _as_psi(psi, model)
-    theta_hat = est_mle.estimate(data).pi
+    theta_hat = base.estimate(data).pi
     psi_hat = psi(theta_hat)
     sigma_hat = _delta_method_sigma(
         psi, theta_hat, observed_information(lambda t: model.loglik(t, data),
-                                             theta_hat))
+                                             theta_hat, model.box))
     theta_sim = model.box.clamp(theta_hat)
-    m = model.noise_dim(data.n)
     pivots, failed = [], 0
-    for b in range(1, B + 1):
-        key = StreamKey(replicate_id, Role.BOOT, b)
-        block = draw_block(derive_seed(master, key), m)
-        sim = model.simulate(theta_sim, block)
+    for u in _boot_blocks(master, replicate_id, B, model.noise_dim(data.n)):
+        sim = model.simulate(theta_sim, RandomBlock(u=u))
         try:
-            theta_b = est_mle.estimate(sim).pi
+            theta_b = base.estimate(sim).pi
             sigma_b = _delta_method_sigma(
                 psi, theta_b, observed_information(
-                    lambda t: model.loglik(t, sim), theta_b))
+                    lambda t: model.loglik(t, sim), theta_b, model.box))
         except ImplicitBootError:
             failed += 1
             continue
         pivots.append((psi(theta_b) - psi_hat) / sigma_b)
     if failed > B // 2:
         raise NonConvergence(f"{failed}/{B} studentized draws failed")
-    return DistributionSample(np.asarray(pivots)), psi_hat, sigma_hat, failed
+    sample = DistributionSample(np.asarray(pivots))
+
+    def endpoints(alphas, two_sided):
+        alphas = np.asarray(alphas, dtype=float)
+        if two_sided:
+            return (psi_hat - sigma_hat * _quantiles(sample, (1.0 + alphas) / 2.0),
+                    psi_hat - sigma_hat * _quantiles(sample, (1.0 - alphas) / 2.0))
+        return (np.full(alphas.shape, -np.inf),
+                psi_hat - sigma_hat * _quantiles(sample, 1.0 - alphas))
+    return IntervalFamily(CIMethod.STUDENTIZED, psi_hat, endpoints,
+                          {"B": sample.B, "failed": failed,
+                           "sigma_hat": sigma_hat})
 
 
 def studentized_bootstrap(data: Dataset, model: ModelSpec, est_mle: Estimator,
@@ -355,17 +401,8 @@ def studentized_bootstrap(data: Dataset, model: ModelSpec, est_mle: Estimator,
                           replicate_id: int = 0) -> CIResult:
     """Bootstrap-t interval with a delta-method scale from the observed
     information; requires the model to expose a log-likelihood."""
-    _warn_small_B(B)
-    sample, psi_hat, sigma_hat, failed = studentized_pivots(
-        data, model, est_mle, psi, B, master, replicate_id)
-    if two_sided:
-        lo = psi_hat - sigma_hat * empirical_quantile(sample, (1.0 + alpha) / 2.0)
-        hi = psi_hat - sigma_hat * empirical_quantile(sample, (1.0 - alpha) / 2.0)
-    else:
-        lo = -np.inf
-        hi = psi_hat - sigma_hat * empirical_quantile(sample, 1.0 - alpha)
-    meta = {"B": sample.B, "failed": failed, "sigma_hat": sigma_hat}
-    return CIResult(CIMethod.STUDENTIZED, alpha, lo, hi, psi_hat, meta)
+    return _studentized(data, model, None, est_mle, psi, B, master,
+                        replicate_id=replicate_id).at(alpha, two_sided)
 
 
 def _leave_one_out(data: Dataset, i: int) -> Dataset:
@@ -402,23 +439,28 @@ def bca_level(z0: float, a: float, level: float, B: int) -> float:
     return min(max(adj, 1.0 / (B + 1.0)), B / (B + 1.0))
 
 
-def bca_components(data: Dataset, model: ModelSpec, est_mle: Estimator,
-                   psi=None, B: int = 1000,
-                   master: MasterSeed = MasterSeed(0), replicate_id: int = 0):
-    """Everything a BCa interval needs, independent of the level:
-    (sample, psi_hat, z0, a_or_None, failed)."""
+def _bca(data, model, est, base, psi, B, master, *,
+         path=MatchPath.SWITCHED, cov="information", replicate_id=0):
+    """BCa family; see :func:`bca_bootstrap`."""
+    _warn_small_B(B)
     psi = _as_psi(psi, model)
-    theta_hat, stars, failed = _resample_thetas(data, model, est_mle,
+    theta_hat, stars, failed = _resample_thetas(data, model, base,
                                                 B, master, replicate_id)
     psi_hat = psi(theta_hat)
-    values = _psi_rows(psi, stars)
-    sample = DistributionSample(values)
+    sample = DistributionSample(_psi_rows(psi, stars))
     Bv = sample.B
-    frac = np.mean(values < psi_hat)
+    frac = np.mean(sample.values < psi_hat)
     frac = min(max(frac, 1.0 / (Bv + 1.0)), Bv / (Bv + 1.0))
     z0 = float(special.ndtri(frac))
-    a = jackknife_acceleration(data, est_mle, psi)
-    return sample, psi_hat, z0, a, failed
+    a = jackknife_acceleration(data, base, psi)
+    meta = {"B": Bv, "failed": failed, "z0": z0, "a": a}
+    if a is None:
+        warnings.warn("degenerate jackknife; falling back to plain "
+                      "percentile levels", stacklevel=2)
+        meta.update({"a": 0.0, "fallback": "percentile"})
+        return IntervalFamily(CIMethod.BCA, psi_hat, _percentile_endpoints(sample), meta)
+    return IntervalFamily(CIMethod.BCA, psi_hat, _percentile_endpoints(
+        sample, lambda level: bca_level(z0, a, level, Bv)), meta)
 
 
 def bca_bootstrap(data: Dataset, model: ModelSpec, est_mle: Estimator,
@@ -430,28 +472,10 @@ def bca_bootstrap(data: Dataset, model: ModelSpec, est_mle: Estimator,
 
     z0 comes from the bootstrap fraction below the point estimate and the
     acceleration from jackknife skewness; a degenerate jackknife falls back
-    to the plain percentile interval with a warning.
+    to plain percentile levels with a warning.
     """
-    _warn_small_B(B)
-    sample, psi_hat, z0, a, failed = bca_components(
-        data, model, est_mle, psi, B, master, replicate_id)
-    meta = {"B": sample.B, "failed": failed, "z0": z0}
-    if a is None:
-        warnings.warn("degenerate jackknife; falling back to plain "
-                      "percentile levels", stacklevel=2)
-        lo, hi = _percentile_interval(sample, alpha, two_sided)
-        meta.update({"a": 0.0, "fallback": "percentile"})
-        return CIResult(CIMethod.BCA, alpha, lo, hi, psi_hat, meta)
-    if two_sided:
-        lo = empirical_quantile(sample, bca_level(z0, a, (1.0 - alpha) / 2.0,
-                                                  sample.B))
-        hi = empirical_quantile(sample, bca_level(z0, a, (1.0 + alpha) / 2.0,
-                                                  sample.B))
-    else:
-        lo = -np.inf
-        hi = empirical_quantile(sample, bca_level(z0, a, alpha, sample.B))
-    meta.update({"a": a})
-    return CIResult(CIMethod.BCA, alpha, lo, hi, psi_hat, meta)
+    return _bca(data, model, None, est_mle, psi, B, master,
+                replicate_id=replicate_id).at(alpha, two_sided)
 
 
 def asymptotic_components(data: Dataset, model: ModelSpec, est: Estimator,
@@ -470,23 +494,10 @@ def asymptotic_components(data: Dataset, model: ModelSpec, est: Estimator,
     theta_hat = est.estimate(data).pi
     psi_hat = psi(theta_hat)
     if cov == "bootstrap":
-        theta_sim = model.box.clamp(theta_hat)
-        m = model.noise_dim(data.n)
         seeds = derive_seeds(master, replicate_id, Role.INNER,
                              np.arange(1, B_cov + 1), salt=1)
-        stars = []
-        if hasattr(model, "simulate_batch") and hasattr(est, "estimate_batch"):
-            U = draw_uniforms(seeds, m)
-            batch = model.simulate_batch(np.tile(theta_sim, (B_cov, 1)), U)
-            stars = np.asarray(est.estimate_batch(batch), dtype=float)
-        else:
-            for s in seeds:
-                block = RandomBlock(u=draw_uniforms(s, m))
-                try:
-                    stars.append(est.estimate(model.simulate(theta_sim, block)).pi)
-                except ImplicitBootError:
-                    continue
-            stars = np.asarray(stars, dtype=float)
+        U = draw_uniforms(seeds, model.noise_dim(data.n))
+        stars, _ = _re_estimates(model.box.clamp(theta_hat), model, est, U)
         if stars.shape[0] < 2:
             raise SingularInformation("too few bootstrap draws for a covariance")
         g = _psi_gradient(psi, theta_hat)
@@ -501,11 +512,23 @@ def asymptotic_components(data: Dataset, model: ModelSpec, est: Estimator,
                     f"{model.name} exposes no log-likelihood; "
                     "pass loglik= or cov='bootstrap'")
             loglik = lambda t: model.loglik(t, data)
-        sigma = _delta_method_sigma(psi, theta_hat,
-                                    observed_information(loglik, theta_hat))
+        sigma = _delta_method_sigma(
+            psi, theta_hat, observed_information(loglik, theta_hat, model.box))
     else:
         raise ValueError(f"unknown cov option {cov!r}")
     return psi_hat, sigma
+
+
+def _wald(psi_hat: float, sigma: float, cov: str) -> IntervalFamily:
+    def endpoints(alphas, two_sided):
+        alphas = np.asarray(alphas, dtype=float)
+        if two_sided:
+            z = special.ndtri((1.0 + alphas) / 2.0)
+            return psi_hat - z * sigma, psi_hat + z * sigma
+        return (np.full(alphas.shape, -np.inf),
+                psi_hat + special.ndtri(alphas) * sigma)
+    return IntervalFamily(CIMethod.ASYMPTOTIC, psi_hat, endpoints,
+                          {"sigma_hat": sigma, "cov": cov})
 
 
 def asymptotic_ci(data: Dataset, model: ModelSpec, est: Estimator, psi=None,
@@ -516,14 +539,47 @@ def asymptotic_ci(data: Dataset, model: ModelSpec, est: Estimator, psi=None,
     """Wald interval via the delta method; see :func:`asymptotic_components`."""
     psi_hat, sigma = asymptotic_components(data, model, est, psi, loglik,
                                            cov, B_cov, master, replicate_id)
-    if two_sided:
-        z = float(special.ndtri((1.0 + alpha) / 2.0))
-        lo, hi = psi_hat - z * sigma, psi_hat + z * sigma
-    else:
-        z = float(special.ndtri(alpha))
-        lo, hi = -np.inf, psi_hat + z * sigma
-    return CIResult(CIMethod.ASYMPTOTIC, alpha, lo, hi, psi_hat,
-                    {"sigma_hat": sigma, "cov": cov})
+    return _wald(psi_hat, sigma, cov).at(alpha, two_sided)
+
+
+# ---------------------------------------------------------------------------
+# The method registry.  Every entry takes the same arguments: ``est`` is the
+# auxiliary estimator the implicit method matches, ``base`` the consistent
+# estimator the baselines fit, ``path`` the matching path and ``cov`` the
+# Wald covariance source.  Entries look the one-level engines up by module
+# name at call time, so wrappers installed on those names see their calls.
+
+def _implicit(data, model, est, base, psi, B, master, *,
+              path=MatchPath.SWITCHED, cov="information", replicate_id=0):
+    sample, ci = implicit_bootstrap(data, model, est, psi, B, master,
+                                    path=path, replicate_id=replicate_id)
+    return IntervalFamily(CIMethod.IMPLICIT, ci.point, _percentile_endpoints(sample),
+                          ci.meta, ci.meta["mean_delta"])
+
+
+def _percentile(data, model, est, base, psi, B, master, *,
+                path=MatchPath.SWITCHED, cov="information", replicate_id=0):
+    sample, ci = percentile_parametric_bootstrap(
+        data, model, base, psi, B, master, replicate_id=replicate_id)
+    return IntervalFamily(CIMethod.PERCENTILE, ci.point,
+                          _percentile_endpoints(sample), ci.meta)
+
+
+def _asymptotic(data, model, est, base, psi, B, master, *,
+                path=MatchPath.SWITCHED, cov="information", replicate_id=0):
+    psi_hat, sigma = asymptotic_components(data, model, base, psi, cov=cov,
+                                           master=master,
+                                           replicate_id=replicate_id)
+    return _wald(psi_hat, sigma, cov)
+
+
+METHOD_REGISTRY = {
+    CIMethod.IMPLICIT.value: _implicit,
+    CIMethod.PERCENTILE.value: _percentile,
+    CIMethod.STUDENTIZED.value: _studentized,
+    CIMethod.BCA.value: _bca,
+    CIMethod.ASYMPTOTIC.value: _asymptotic,
+}
 
 
 def indirect_inference_correct(data: Dataset, model: ModelSpec,

@@ -312,25 +312,16 @@ def _t_reg_loglik_grad(theta: np.ndarray, y: np.ndarray, X: np.ndarray):
 class StudentTNaiveMLE(Estimator):
     """MLE of the uncensored t regression applied to censored data as-is.
 
-    Censored responses (stored zeros) are treated as exact observations by
-    default; ``keep_censored=False`` drops them instead.  Optimization runs
-    over (beta, log sigma, log nu) with log nu boxed to [log 0.3, log 100].
+    Censored responses (stored zeros) are treated as exact observations.
+    Optimization runs over (beta, log sigma, log nu) with log nu boxed to
+    [log 0.3, log 100].
     """
 
     name = "student_t_naive_mle"
     has_z = True
 
-    def __init__(self, keep_censored: bool = True):
-        self.keep_censored = keep_censored
-
-    def _rows(self, data):
-        if self.keep_censored or data.censored is None:
-            return data.y, data.X
-        keep = data.censored > 0.5
-        return data.y[keep], data.X[keep]
-
     def estimate(self, data):
-        y, X = self._rows(data)
+        y, X = data.y, data.X
         k = X.shape[1]
         if y.shape[0] <= k + 2:
             raise EmptyData("too few rows for the t regression MLE")
@@ -358,13 +349,10 @@ class StudentTNaiveMLE(Estimator):
         return AuxEstimate(pi=theta, converged=not at_edge, iterations=evals)
 
     def z(self, data, pi):
-        y, X = self._rows(data)
-        _, g = _t_reg_loglik_grad(np.asarray(pi, dtype=float), y, X)
-        return g / y.shape[0]
+        _, g = _t_reg_loglik_grad(np.asarray(pi, dtype=float), data.y, data.X)
+        return g / data.n
 
     def z_batch(self, batch, pi):
-        if not self.keep_censored:
-            raise NotImplementedError("batched path assumes censored rows kept")
         pi = np.asarray(pi, dtype=float)
         y, X = batch.y, batch.X
         k = X.shape[1]
@@ -410,7 +398,10 @@ class StudentTCensoredMLE(Estimator):
         bounds = [(None, None)] * k + [(None, None), (np.log(0.3), np.log(100.0))]
         res = optimize.minimize(negloglik, x0, method="L-BFGS-B", bounds=bounds,
                                 options={"maxiter": 1000, "ftol": 1e-12})
+        # the point the objective evaluated: exp(log 100) can land just
+        # outside the box
         theta = np.concatenate([res.x[:k], np.exp(res.x[k:])])
+        theta = self.model.box.clamp(theta, margin=1e-9)
         return AuxEstimate(pi=theta, converged=bool(res.success), iterations=evals)
 
 

@@ -19,10 +19,9 @@ import json
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy import special
 
 from . import engines, exact
 from .errors import (ConfigError, ExcessExclusions, ImplicitBootError,
@@ -30,7 +29,7 @@ from .errors import (ConfigError, ExcessExclusions, ImplicitBootError,
 from .estimators import (CensoredMeanEstimator, FrechetMLE, LomaxMLE,
                          LomaxNaiveWMLE, ParetoMLE, SampleMaxEstimator,
                          StudentTCensoredMLE, StudentTNaiveMLE)
-from .matcher import MatchPath, SolverConfig
+from .matcher import MatchPath
 from .models import MODEL_REGISTRY, make_model
 from .rng import MasterSeed, Role, StreamKey, derive_seed, derive_seeds, \
     draw_block, draw_uniforms
@@ -42,6 +41,7 @@ __all__ = [
     "load_config",
     "make_estimator",
     "make_psi",
+    "setup",
     "run_coverage",
     "records_to_csv",
     "parse_csv",
@@ -52,8 +52,6 @@ __all__ = [
 
 CSV_HEADER = ("scenario,method,alpha,n,M,B,coverage,mc_stderr,"
               "mean_len,mean_delta,excluded,wall_s")
-
-METHODS = ("implicit", "percentile", "studentized", "bca", "asymptotic")
 
 _ESTIMATORS = {
     "sample_max": lambda model: SampleMaxEstimator(),
@@ -135,8 +133,9 @@ class ScenarioConfig:
             raise ConfigError(
                 f"alphas must be strictly increasing within (0,1): {alphas}")
         for m in self.methods:
-            if m not in METHODS:
-                raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
+            if m not in engines.METHOD_REGISTRY:
+                raise ConfigError(f"unknown method {m!r}; choose from "
+                                  f"{tuple(engines.METHOD_REGISTRY)}")
         if self.match_path not in ("nested", "switched", "closed_form"):
             raise ConfigError(f"unknown match path {self.match_path!r}")
         if self.asymptotic_cov not in ("information", "bootstrap"):
@@ -151,6 +150,15 @@ class ScenarioConfig:
 
     def resolved(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def setup(cfg: ScenarioConfig, n: int | None = None):
+    """(model, est, base, psi, master) for a scenario; ``n`` defaults to
+    the configured sample size."""
+    model = make_model(cfg.model, n=cfg.n if n is None else n)
+    return (model, make_estimator(cfg.estimator, model),
+            make_estimator(cfg.baseline_estimator or cfg.estimator, model),
+            make_psi(cfg.psi, model), MasterSeed(cfg.master_seed))
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -240,79 +248,18 @@ def _replicate_stats(cfg: ScenarioConfig, model, est, base, psi, master, m):
     Returns {method: (lower (A,), upper (A,), mean_delta)} with lower all
     -inf in one-sided mode, or None when the replicate must be excluded.
     """
-    alphas = np.asarray(cfg.alphas)
-    theta0 = np.asarray(cfg.theta0)
     block = draw_block(derive_seed(master, StreamKey(m, Role.OBSERVED)),
                        model.noise_dim(cfg.n))
-    data = model.simulate(theta0, block)
-    scfg = SolverConfig()
+    data = model.simulate(np.asarray(cfg.theta0), block)
     out = {}
-
-    def tails(sample, lo_level, hi_level):
-        lo = np.array([engines.empirical_quantile(sample, l) for l in lo_level])
-        hi = np.array([engines.empirical_quantile(sample, l) for l in hi_level])
-        return lo, hi
-
     try:
         for meth in cfg.methods:
-            if meth == "implicit":
-                sample, ci = engines.implicit_bootstrap(
-                    data, model, est, psi, cfg.B, master, scfg,
-                    MatchPath(cfg.match_path), alpha=0.5, replicate_id=m)
-                delta = ci.meta["mean_delta"]
-                if cfg.two_sided:
-                    lo, hi = tails(sample, (1 - alphas) / 2, (1 + alphas) / 2)
-                else:
-                    lo, hi = np.full(alphas.shape, -np.inf), \
-                        tails(sample, alphas, alphas)[1]
-                out[meth] = (lo, hi, delta)
-            elif meth == "percentile":
-                sample, _ = engines.percentile_parametric_bootstrap(
-                    data, model, base, psi, cfg.B, master, alpha=0.5,
-                    replicate_id=m)
-                if cfg.two_sided:
-                    lo, hi = tails(sample, (1 - alphas) / 2, (1 + alphas) / 2)
-                else:
-                    lo, hi = np.full(alphas.shape, -np.inf), \
-                        tails(sample, alphas, alphas)[1]
-                out[meth] = (lo, hi, np.nan)
-            elif meth == "studentized":
-                sample, psi_hat, sig, _ = engines.studentized_pivots(
-                    data, model, base, psi, cfg.B, master, replicate_id=m)
-                if cfg.two_sided:
-                    qlo, qhi = tails(sample, (1 - alphas) / 2, (1 + alphas) / 2)
-                    lo, hi = psi_hat - sig * qhi, psi_hat - sig * qlo
-                else:
-                    q = tails(sample, 1 - alphas, 1 - alphas)[0]
-                    lo, hi = np.full(alphas.shape, -np.inf), psi_hat - sig * q
-                out[meth] = (lo, hi, np.nan)
-            elif meth == "bca":
-                sample, psi_hat, z0, a, _ = engines.bca_components(
-                    data, model, base, psi, cfg.B, master, replicate_id=m)
-                a = 0.0 if a is None else a
-                Bv = sample.B
-                if cfg.two_sided:
-                    lo_lv = [engines.bca_level(z0, a, l, Bv)
-                             for l in (1 - alphas) / 2]
-                    hi_lv = [engines.bca_level(z0, a, l, Bv)
-                             for l in (1 + alphas) / 2]
-                    lo, hi = tails(sample, lo_lv, hi_lv)
-                else:
-                    hi_lv = [engines.bca_level(z0, a, l, Bv) for l in alphas]
-                    lo, hi = np.full(alphas.shape, -np.inf), \
-                        tails(sample, hi_lv, hi_lv)[1]
-                out[meth] = (lo, hi, np.nan)
-            elif meth == "asymptotic":
-                psi_hat, sig = engines.asymptotic_components(
-                    data, model, base, psi, cov=cfg.asymptotic_cov,
-                    master=master, replicate_id=m)
-                if cfg.two_sided:
-                    z = special.ndtri((1 + alphas) / 2)
-                    lo, hi = psi_hat - z * sig, psi_hat + z * sig
-                else:
-                    lo = np.full(alphas.shape, -np.inf)
-                    hi = psi_hat + special.ndtri(alphas) * sig
-                out[meth] = (lo, hi, np.nan)
+            family = engines.METHOD_REGISTRY[meth](
+                data, model, est, base, psi, cfg.B, master,
+                path=MatchPath(cfg.match_path), cov=cfg.asymptotic_cov,
+                replicate_id=m)
+            out[meth] = (*family.endpoints(cfg.alphas, cfg.two_sided),
+                         family.delta)
     except ImplicitBootError:
         return None
     return out
@@ -324,13 +271,8 @@ def run_coverage(cfg: ScenarioConfig, threads: int = 1, out_dir: str | None = No
     When ``out_dir`` is given, writes ``<scenario>.csv`` and the fully
     resolved configuration ``<scenario>_config.json`` there.
     """
-    model = make_model(cfg.model, n=cfg.n)
-    est = make_estimator(cfg.estimator, model)
-    base = make_estimator(cfg.baseline_estimator or cfg.estimator, model)
-    psi = make_psi(cfg.psi, model)
-    master = MasterSeed(cfg.master_seed)
-    theta0 = np.asarray(cfg.theta0)
-    v0 = psi(theta0)
+    model, est, base, psi, master = setup(cfg)
+    v0 = psi(np.asarray(cfg.theta0))
 
     def one(m):
         return _replicate_stats(cfg, model, est, base, psi, master, m)
@@ -372,8 +314,8 @@ def run_coverage(cfg: ScenarioConfig, threads: int = 1, out_dir: str | None = No
                 coverage=float(cov[j]),
                 mc_stderr=float(np.sqrt(cov[j] * (1.0 - cov[j]) / Mi)),
                 mean_len=float(lengths[j]),
-                mean_delta=float(np.nanmean(deltas)) if meth == "implicit"
-                else float("nan"),
+                mean_delta=float(np.nanmean(deltas))
+                if np.any(np.isfinite(deltas)) else float("nan"),
                 excluded=excluded, wall_s=0.0))
     csv_text = records_to_csv(records)
     if out_dir is not None:
@@ -490,38 +432,20 @@ def run_bench(cfg: ScenarioConfig, methods=None, reps: int = 10):
     """Median wall time per CI for each method, plus ratios to the
     percentile parametric bootstrap when it is among them."""
     methods = tuple(methods or cfg.methods)
-    model = make_model(cfg.model, n=cfg.n)
-    est = make_estimator(cfg.estimator, model)
-    base = make_estimator(cfg.baseline_estimator or cfg.estimator, model)
-    psi = make_psi(cfg.psi, model)
-    master = MasterSeed(cfg.master_seed)
-    theta0 = np.asarray(cfg.theta0)
+    model, est, base, psi, master = setup(cfg)
     times = {meth: [] for meth in methods}
     for r in range(reps):
         block = draw_block(derive_seed(master, StreamKey(r, Role.OBSERVED)),
                            model.noise_dim(cfg.n))
-        data = model.simulate(theta0, block)
+        data = model.simulate(np.asarray(cfg.theta0), block)
         for meth in methods:
             t0 = time.perf_counter()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                if meth == "implicit":
-                    engines.implicit_bootstrap(
-                        data, model, est, psi, cfg.B, master, SolverConfig(),
-                        MatchPath(cfg.match_path), replicate_id=r)
-                elif meth == "percentile":
-                    engines.percentile_parametric_bootstrap(
-                        data, model, base, psi, cfg.B, master, replicate_id=r)
-                elif meth == "studentized":
-                    engines.studentized_bootstrap(
-                        data, model, base, psi, cfg.B, master, replicate_id=r)
-                elif meth == "bca":
-                    engines.bca_bootstrap(
-                        data, model, base, psi, cfg.B, master, replicate_id=r)
-                elif meth == "asymptotic":
-                    engines.asymptotic_ci(
-                        data, model, base, psi, cov=cfg.asymptotic_cov,
-                        master=master, replicate_id=r)
+                engines.METHOD_REGISTRY[meth](
+                    data, model, est, base, psi, cfg.B, master,
+                    path=MatchPath(cfg.match_path), cov=cfg.asymptotic_cov,
+                    replicate_id=r).endpoints(cfg.alphas, cfg.two_sided)
             times[meth].append(time.perf_counter() - t0)
     table = []
     med = {meth: float(np.median(ts)) for meth, ts in times.items()}

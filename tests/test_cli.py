@@ -34,10 +34,12 @@ def _write_data(tmp_path, n=12):
 def test_ci_subcommand(tmp_path, capsys):
     code = main(["ci", "--config", _write_cfg(tmp_path),
                  "--data", _write_data(tmp_path)])
-    out = capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
     assert code == EXIT_OK
-    assert "implicit" in out and "percentile" in out
-    assert "alpha=0.95" in out
+    # one line per (method, alpha), in config order
+    assert [ln.split("\t")[:2] for ln in lines] == [
+        [meth, f"alpha={a}"] for meth in ("implicit", "percentile")
+        for a in (0.9, 0.95)]
 
 
 def test_simulate_coverage_subcommand(tmp_path, capsys):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy import special
 
 from implicit_boot.engines import (CIMethod, CIResult, DistributionSample,
-                                   asymptotic_ci, bca_bootstrap, bca_level,
+                                   asymptotic_ci, asymptotic_components,
+                                   bca_bootstrap, bca_level,
                                    empirical_quantile,
                                    implicit_bootstrap,
                                    indirect_inference_correct,
@@ -20,7 +21,7 @@ from implicit_boot.engines import (CIMethod, CIResult, DistributionSample,
 from implicit_boot.errors import DomainError, SingularInformation
 from implicit_boot.estimators import (CensoredMeanEstimator, LomaxMLE,
                                       LomaxNaiveWMLE, ParetoMLE,
-                                      SampleMaxEstimator)
+                                      SampleMaxEstimator, StudentTCensoredMLE)
 from implicit_boot.matcher import MatchPath
 from implicit_boot.models import Dataset, make_model
 from implicit_boot.rng import (MasterSeed, Role, StreamKey, derive_seed,
@@ -215,6 +216,34 @@ def test_asymptotic_needs_some_covariance_source():
     model, est = make_model("uniform"), SampleMaxEstimator()
     with pytest.raises(SingularInformation):
         asymptotic_ci(_uniform_data(9), model, est, cov="information")
+
+
+def test_bootstrap_covariance_drops_samples_without_an_mle():
+    # Lomax n=50, replicate 0 of master seed 12: one of the 200 batched
+    # re-estimates has no MLE and comes back as a NaN row
+    model, est = make_model("lomax"), LomaxMLE()
+    master = MasterSeed(12)
+    data = model.simulate([1.0, 1.5], draw_block(
+        derive_seed(master, StreamKey(0, Role.OBSERVED)), 50))
+    _, sigma = asymptotic_components(data, model, est, cov="bootstrap",
+                                     master=master, replicate_id=0)
+    assert np.isfinite(sigma) and sigma > 0.0
+
+
+@pytest.mark.parametrize("m", [260, 265])
+def test_censored_t_fit_at_the_nu_bound_stays_in_the_box(m):
+    # criterion-7 replicates whose censored-t MLE sits on nu = 100
+    model = make_model("student_t_censored", n=100)
+    est = StudentTCensoredMLE(model)
+    theta0 = [4.0, -1.0, 1.5, -0.5, -1.5, 1.4142135623730951, 2.0]
+    data = model.simulate(theta0, draw_block(
+        derive_seed(MasterSeed(0), StreamKey(m, Role.OBSERVED)), 100))
+    theta = est.estimate(data).pi
+    assert model.box.contains(theta)
+    psi_hat, sigma = asymptotic_components(data, model, est, psi=1,
+                                           replicate_id=m)
+    assert psi_hat == theta[1]
+    assert np.isfinite(sigma) and sigma > 0.0
 
 
 def test_studentized_close_to_wald_at_large_n():

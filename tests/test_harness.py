@@ -2,18 +2,21 @@
 
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from implicit_boot import harness
+from implicit_boot import engines, harness
 from implicit_boot.errors import ConfigError, ExcessExclusions, ParseError
 from implicit_boot.harness import (CSV_HEADER, CoverageRecord, ScenarioConfig,
                                    emit_plot, load_config, make_estimator,
                                    make_psi, parse_csv, records_to_csv,
                                    run_bench, run_coverage, run_exact_check)
+from implicit_boot.matcher import MatchPath
 from implicit_boot.models import make_model
+from implicit_boot.rng import Role, StreamKey, derive_seed, draw_block
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -179,6 +182,46 @@ def test_excess_exclusions_abort(monkeypatch):
     monkeypatch.setattr(harness, "_replicate_stats", flaky)
     with pytest.raises(ExcessExclusions):
         run_coverage(_uniform_cfg(M=30))
+
+
+def _one_level(meth, data, model, est, base, psi, cfg, master, alpha, m):
+    """The public one-level function of each method, called directly."""
+    kw = dict(alpha=alpha, two_sided=cfg.two_sided, replicate_id=m)
+    if meth == "implicit":
+        return engines.implicit_bootstrap(data, model, est, psi, cfg.B, master,
+                                          path=MatchPath(cfg.match_path),
+                                          **kw)[1]
+    if meth == "percentile":
+        return engines.percentile_parametric_bootstrap(
+            data, model, base, psi, cfg.B, master, **kw)[1]
+    if meth == "asymptotic":
+        return engines.asymptotic_ci(data, model, base, psi,
+                                     cov=cfg.asymptotic_cov, master=master,
+                                     **kw)
+    one = {"studentized": engines.studentized_bootstrap,
+           "bca": engines.bca_bootstrap}[meth]
+    return one(data, model, base, psi, cfg.B, master, **kw)
+
+
+@pytest.mark.parametrize("two_sided", [False, True])
+@pytest.mark.parametrize("meth", sorted(engines.METHOD_REGISTRY))
+def test_coverage_endpoints_equal_the_public_functions(meth, two_sided):
+    cfg = ScenarioConfig(scenario="parity", model="lomax", theta0=(1.0, 1.5),
+                         n=50, estimator="lomax_mle", methods=(meth,),
+                         alphas=(0.9, 0.95), two_sided=two_sided, M=1, B=100,
+                         master_seed=12)
+    model, est, base, psi, master = harness.setup(cfg)
+    m = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lower, upper, _ = harness._replicate_stats(cfg, model, est, base, psi,
+                                                   master, m)[meth]
+        data = model.simulate(np.asarray(cfg.theta0), draw_block(
+            derive_seed(master, StreamKey(m, Role.OBSERVED)), cfg.n))
+        cis = [_one_level(meth, data, model, est, base, psi, cfg, master, a, m)
+               for a in cfg.alphas]
+    np.testing.assert_array_equal(lower, [ci.lower for ci in cis])
+    np.testing.assert_array_equal(upper, [ci.upper for ci in cis])
 
 
 # ---------------------------------------------------------------- exact check

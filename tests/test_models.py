@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -64,6 +64,8 @@ def test_andrews_is_shifted_gaussian_quantile():
 
 @given(st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
        st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
+@example(1e-6, float(np.nextafter(1e-6, 1.0)))
+@example(1e-6, 1e-6 + 16 * np.finfo(float).eps)
 @settings(max_examples=100, deadline=None)
 def test_scalar_quantile_transforms_monotone_in_u(u1, u2):
     if u1 == u2:
@@ -74,7 +76,13 @@ def test_scalar_quantile_transforms_monotone_in_u(u1, u2):
         m = _make(name)
         ylo = m.simulate(theta, RandomBlock(u=np.array([lo]))).y[0]
         yhi = m.simulate(theta, RandomBlock(u=np.array([hi]))).y[0]
-        assert ylo < yhi
+        # inputs a few ulps apart can round to one output: 1 - u is the
+        # same double for u = 1e-6 and its successor, and the Pareto, Lomax
+        # and Andrews maps are flatter than their output grid in places, so
+        # order is strict only once the gap is 16 machine epsilons
+        assert ylo <= yhi
+        if hi - lo >= 16 * np.finfo(float).eps:
+            assert ylo < yhi
 
 
 def test_student_t_quantile_matches_reference_inverse_cdf():
