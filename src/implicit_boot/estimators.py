@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import optimize, special
 
 from .errors import DegenerateSample, EmptyData, NonConvergence
 from .models import Dataset, _t_logpdf
@@ -32,8 +32,9 @@ __all__ = [
 ]
 
 # Conventional high-efficiency Huber cut-off for a 2-dim score,
-# sqrt of the 95% quantile of a chi-square with 2 degrees of freedom.
-HUBER_CUTOFF = float(np.sqrt(stats.chi2.ppf(0.95, df=2)))
+# sqrt(scipy.stats.chi2.ppf(0.95, 2)) to the last bit; written out because
+# importing scipy.stats costs a third of a second at start-up.
+HUBER_CUTOFF = 2.447746830680816
 
 
 @dataclass(frozen=True)
@@ -143,16 +144,61 @@ def lomax_fisher_information(b: float, q: float) -> np.ndarray:
     ])
 
 
-def _lomax_profile_shape(y: np.ndarray, b: float) -> float:
-    return 1.0 / float(np.mean(np.log1p(y / b)))
+# log b - log(mean y) at which the profile score is evaluated to bracket its
+# root; the root is the first sign change along this grid
+_LOMAX_GRID = np.linspace(-12.0, 14.0, 53)
+
+
+def _lomax_profile_shape(y: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """q(b) = 1 / mean(log(1 + y/b)) per row of ``y`` (B, n), ``b`` (B, 1)."""
+    return 1.0 / np.mean(np.log1p(y / b), axis=1)
+
+
+def _lomax_profile_score(y: np.ndarray, log_b: np.ndarray) -> np.ndarray:
+    """(q(b) + 1) * mean(y / (b + y)) - 1 per row of ``y`` (B, n)."""
+    b = np.exp(log_b)[:, None]
+    t = y / b
+    np.log1p(t, out=t)
+    u = b + y
+    np.divide(y, u, out=u)
+    return (1.0 / np.mean(t, axis=1) + 1.0) * np.mean(u, axis=1) - 1.0
+
+
+def _lomax_bracket(y: np.ndarray):
+    """First sign change of the profile score along the grid, per row.
+
+    A row leaves the scan at its first sign change, so a typical row costs
+    half the grid.  Returns ``(lo, hi, f_lo, f_hi)`` in log b, NaN for rows
+    whose score never changes sign (the MLE does not exist).
+    """
+    B = y.shape[0]
+    log_ybar = np.log(np.mean(y, axis=1))
+    lo, hi, f_lo, f_hi = np.full((4, B), np.nan)
+    rows, y_rows = np.arange(B), y
+    f_prev = _lomax_profile_score(y, log_ybar + _LOMAX_GRID[0])
+    for j in range(1, _LOMAX_GRID.size):
+        if rows.size == 0:
+            break
+        f = _lomax_profile_score(y_rows, log_ybar[rows] + _LOMAX_GRID[j])
+        flip = f_prev * f < 0
+        if flip.any():
+            r = rows[flip]
+            lo[r] = log_ybar[r] + _LOMAX_GRID[j - 1]
+            hi[r] = log_ybar[r] + _LOMAX_GRID[j]
+            f_lo[r], f_hi[r] = f_prev[flip], f[flip]
+            rows, f = rows[~flip], f[~flip]
+            y_rows = y[rows]
+        f_prev = f
+    return lo, hi, f_lo, f_hi
 
 
 class LomaxMLE(Estimator):
     """Lomax MLE via the profile root of the scale score.
 
     The shape score gives q(b) = 1 / mean(log(1 + y/b)); the remaining
-    one-dimensional equation (q(b) + 1) * mean(y / (b + y)) = 1 is solved by
-    bracketed bisection on log b.
+    one-dimensional equation (q(b) + 1) * mean(y / (b + y)) = 1 is solved on
+    log b inside the first sign change along a fixed grid: by Brent's method
+    for one sample, by Illinois regula falsi for a batch.
     """
 
     name = "lomax_mle"
@@ -162,23 +208,18 @@ class LomaxMLE(Estimator):
         y = data.y
         if data.n < 2:
             raise NonConvergence("Lomax MLE is not identified from a single point")
+        Y = y[None, :]
+        lo, hi, _, _ = _lomax_bracket(Y)
+        if np.isnan(lo[0]):
+            raise NonConvergence("no sign change for the Lomax profile score")
 
         def phi(log_b):
-            b = np.exp(log_b)
-            return (_lomax_profile_shape(y, b) + 1.0) * float(np.mean(y / (b + y))) - 1.0
+            return float(_lomax_profile_score(Y, np.array([log_b]))[0])
 
-        ybar = float(np.mean(y))
-        grid = np.log(ybar) + np.linspace(-12.0, 14.0, 53)
-        vals = np.array([phi(g) for g in grid])
-        sign = np.sign(vals)
-        idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-        if idx.size == 0:
-            raise NonConvergence("no sign change for the Lomax profile score")
-        lo, hi = grid[idx[0]], grid[idx[0] + 1]
-        sol = optimize.brentq(phi, lo, hi, xtol=1e-14, rtol=1e-15, full_output=True)
-        log_b, res = sol
-        b = float(np.exp(log_b))
-        return AuxEstimate(pi=np.array([b, _lomax_profile_shape(y, b)]),
+        log_b, res = optimize.brentq(phi, lo[0], hi[0], xtol=1e-14, rtol=1e-15,
+                                     full_output=True)
+        b = np.array([[np.exp(log_b)]])
+        return AuxEstimate(pi=np.array([b[0, 0], _lomax_profile_shape(Y, b)[0]]),
                            converged=res.converged, iterations=res.iterations)
 
     def z(self, data, pi):
@@ -193,40 +234,36 @@ class LomaxMLE(Estimator):
         return np.column_stack([s_b, s_q])
 
     def estimate_batch(self, batch):
-        """Row-wise MLE via vectorized bracketing + bisection on log b.
+        """Row-wise MLE: the scalar path's bracket, then Illinois steps.
 
-        Rows whose profile score has no root (the MLE does not exist for
-        the sample) come back as NaN, mirroring the scalar path's raise.
+        Illinois regula falsi keeps the bracket and converges superlinearly,
+        in 10-20 steps from the grid's bracket, where bisection took 60.
+        Each step evaluates only the rows not yet within the scalar path's
+        tolerance, so a row's result does not depend on the rest of the
+        batch.  Rows whose profile score has no root (the MLE does not exist
+        for the sample) come back as NaN, mirroring the scalar path's raise.
         """
         y = batch.y
-        ybar = np.mean(y, axis=1)
-
-        def phi(log_b):
-            b = np.exp(log_b)[:, None]
-            q = 1.0 / np.mean(np.log1p(y / b), axis=1)
-            return (q + 1.0) * np.mean(y / (b + y), axis=1) - 1.0
-
-        offsets = np.linspace(-12.0, 14.0, 53)
-        grid = np.log(ybar)[:, None] + offsets
-        vals = np.stack([phi(grid[:, j]) for j in range(grid.shape[1])], axis=1)
-        sign_flip = vals[:, :-1] * vals[:, 1:] < 0
-        bad = ~np.any(sign_flip, axis=1)
-        first = np.argmax(sign_flip, axis=1)
-        rows = np.arange(y.shape[0])
-        lo, hi = grid[rows, first], grid[rows, first + 1]
-        flo = vals[rows, first]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fmid = phi(mid)
-            left = flo * fmid <= 0
-            hi = np.where(left, mid, hi)
-            lo = np.where(left, lo, mid)
-            flo = np.where(left, flo, fmid)
-        b = np.exp(0.5 * (lo + hi))[:, None]
-        q = 1.0 / np.mean(np.log1p(y / b), axis=1, keepdims=True)
-        out = np.hstack([b, q])
-        out[bad] = np.nan
-        return out
+        a, c, f_a, f_c = _lomax_bracket(y)
+        log_b = c.copy()  # NaN on rows without a bracket
+        rows = np.nonzero(~np.isnan(a))[0]
+        a, c, f_a, f_c = a[rows], c[rows], f_a[rows], f_c[rows]
+        for _ in range(100):  # 10-20 steps suffice; the cap only bounds the loop
+            if rows.size == 0:
+                break
+            m = c - f_c * (c - a) / (f_c - f_a)
+            f_m = _lomax_profile_score(y[rows], m)
+            flip = f_m * f_c < 0
+            a = np.where(flip, c, a)
+            # Illinois: halve the kept end's value when it is kept again
+            f_a = np.where(flip, f_c, 0.5 * f_a)
+            c, f_c = m, f_m
+            log_b[rows] = m
+            more = (np.abs(c - a) > 1e-14 + 4e-16 * np.abs(c)) & (f_m != 0.0)
+            rows, a, c, f_a, f_c = (rows[more], a[more], c[more], f_a[more],
+                                    f_c[more])
+        b = np.exp(log_b)[:, None]
+        return np.hstack([b, _lomax_profile_shape(y, b)[:, None]])
 
 
 class LomaxNaiveWMLE(Estimator):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from implicit_boot import exact
+from implicit_boot import exact, matcher
 from implicit_boot.errors import NoZFunction, UnsupportedExample
 from implicit_boot.estimators import (AuxEstimate, LomaxMLE, ParetoMLE,
                                       SampleMaxEstimator)
@@ -179,6 +179,45 @@ def test_batched_lomax_matches_scalar_rows():
         np.testing.assert_allclose(thetas[i], ref.theta_check,
                                    rtol=1e-5, atol=1e-7)
         assert deltas[i] <= 1e-8
+
+
+def _criterion6_replicate(m):
+    """Observed estimate and noise blocks of replicate m of the criterion-6
+    Lomax config: theta0 (1, 1.5), n=50, B=500, master seed 12."""
+    model, est = make_model("lomax"), LomaxMLE()
+    master = MasterSeed(12)
+    obs = draw_block(derive_seed(master, StreamKey(m, Role.OBSERVED)), 50)
+    U = draw_uniforms(derive_seeds(master, m, Role.BOOT, np.arange(1, 501)), 50)
+    return est.estimate(model.simulate([1.0, 1.5], obs)), model, est, U
+
+
+@pytest.mark.parametrize("m, retried, unconverged", [
+    # row 494's batched iterate has no MLE; the retry rescues it
+    pytest.param(249, [494], 290, id="rescue-249"),
+    # only ridge rows, which the retry used to walk 158 times
+    pytest.param(232, [], 259, id="ridge-232"),
+])
+def test_scalar_retry_only_for_rows_without_a_re_estimate(monkeypatch, m,
+                                                          retried, unconverged):
+    pi, model, est, U = _criterion6_replicate(m)
+    blocks = []
+    scalar = matcher.switched_match
+
+    def counted(pi_obs, model, est, w_star, *args, **kwargs):
+        blocks.append(w_star.u)
+        return scalar(pi_obs, model, est, w_star, *args, **kwargs)
+
+    monkeypatch.setattr(matcher, "switched_match", counted)
+    with np.errstate(all="ignore"):
+        thetas, deltas, conv, _ = batched_switched_match(pi, model, est, U)
+    assert [int(np.flatnonzero((U == u).all(axis=1))[0]) for u in blocks] \
+        == retried
+    for i in retried:
+        assert conv[i] and deltas[i] <= 1e-8
+    # ridge rows keep their batched iterate, its finite gap, and the label
+    assert int(np.sum(~conv)) == unconverged
+    assert np.all(np.isfinite(deltas[~conv]))
+    assert np.all(np.isfinite(thetas))
 
 
 def test_batched_uniform_matches_closed_form():
