@@ -14,6 +14,11 @@ interval for a scalar functional psi(theta):
 * ``indirect_inference_correct`` -- consistency correction of a biased
   estimator by matching its average over frozen simulated samples.
 
+``psi`` maps a (k, p) array of parameter rows to k values (``None``: the
+model's ``default_psi``; an integer j: coordinate j).  Engines call it once
+on all B draws, and on a one-row array for a single point; a psi that does
+not return k values raises :class:`DomainError`.
+
 ``METHOD_REGISTRY`` maps each :class:`CIMethod` name to a function that
 fits once and returns an :class:`IntervalFamily`, the method's intervals
 at every confidence level; the one-level functions above read one level
@@ -165,12 +170,22 @@ def _as_psi(psi, model: ModelSpec):
         return model.default_psi
     if isinstance(psi, (int, np.integer)):
         j = int(psi)
-        return lambda theta: float(np.asarray(theta, dtype=float)[j])
+        return lambda thetas: np.asarray(thetas, dtype=float)[..., j]
     return psi
 
 
 def _psi_rows(psi, thetas: np.ndarray) -> np.ndarray:
-    return np.array([psi(t) for t in np.atleast_2d(thetas)], dtype=float)
+    """psi on the rows of ``thetas`` (a single point is one row): one call."""
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    values = np.asarray(psi(thetas), dtype=float)
+    if values.shape != thetas.shape[:1]:
+        raise DomainError(f"psi must map a {thetas.shape} array of parameter"
+                          f" rows to {thetas.shape[0]} values: {values.shape}")
+    return values
+
+
+def _psi_at(psi, theta: np.ndarray) -> float:
+    return float(_psi_rows(psi, theta)[0])
 
 
 def _boot_blocks(master: MasterSeed, replicate_id: int, B: int, m: int) -> np.ndarray:
@@ -195,9 +210,11 @@ def implicit_bootstrap(data: Dataset, model: ModelSpec, est: Estimator,
 
     The auxiliary estimate is computed once on ``data``; each draw b solves
     the matching problem against a fresh noise block keyed by (replicate_id,
-    BOOT, b).  Draws whose solve raises are dropped and counted; the call
-    fails only when more than half are lost.  Returns the psi sample and the
-    interval.
+    BOOT, b).  The closed-form path solves all B draws in one call; draws
+    whose numeric solve raises are dropped and counted, and the call fails
+    only when more than half are lost.  ``psi`` maps the (B, p) array of
+    matched parameters to B values in one call.  Returns the psi sample and
+    the interval.
     """
     _warn_small_B(B)
     psi = _as_psi(psi, model)
@@ -205,36 +222,30 @@ def implicit_bootstrap(data: Dataset, model: ModelSpec, est: Estimator,
     U = _boot_blocks(master, replicate_id, B, model.noise_dim(data.n))
     tol_flag = 0.5 * data.n ** -1.5 * max(1.0, float(np.linalg.norm(pi_obs.pi)))
 
-    thetas, deltas, converged = [], [], []
-    failed = 0
     if path is MatchPath.CLOSED_FORM:
-        stats = exact.summaries_from_uniforms(model.name, U)
-        for b in range(B):
-            res = closed_form_match(model.name, pi_obs, stats[b])
-            thetas.append(res.theta_check)
-            deltas.append(res.delta)
-            converged.append(res.converged)
+        res = closed_form_match(model.name, pi_obs,
+                                exact.summaries_from_uniforms(model.name, U))
+        thetas = res.theta_check
+        deltas = np.full(B, res.delta)
+        converged = np.full(B, res.converged)
     elif path is MatchPath.SWITCHED and supports_batch(model, est) and est.has_z:
-        th, dl, cv, _ = batched_switched_match(pi_obs, model, est, U, cfg)
-        thetas, deltas, converged = list(th), list(dl), list(cv)
+        thetas, deltas, converged, _ = batched_switched_match(pi_obs, model,
+                                                              est, U, cfg)
     else:
         solver = switched_match if path is MatchPath.SWITCHED else nested_match
+        results = []
         for u in U:
             try:
-                res = solver(pi_obs, model, est, RandomBlock(u=u), cfg)
+                results.append(solver(pi_obs, model, est, RandomBlock(u=u), cfg))
             except ImplicitBootError:
-                failed += 1
                 continue
-            thetas.append(res.theta_check)
-            deltas.append(res.delta)
-            converged.append(res.converged)
-
+        thetas = np.array([r.theta_check for r in results])
+        deltas = np.array([r.delta for r in results])
+        converged = np.array([r.converged for r in results])
+    failed = B - len(thetas)
     if failed > B // 2:
         raise NonConvergence(f"{failed}/{B} matching solves failed")
 
-    thetas = np.asarray(thetas, dtype=float)
-    deltas = np.asarray(deltas, dtype=float)
-    converged = np.asarray(converged, dtype=bool)
     delta_flag = deltas > tol_flag
     sample = DistributionSample(_psi_rows(psi, thetas),
                                 flags={"converged": converged,
@@ -297,7 +308,7 @@ def percentile_parametric_bootstrap(data: Dataset, model: ModelSpec,
     sample = DistributionSample(_psi_rows(psi, stars))
     lower, upper = _percentile_endpoints(sample)([alpha], two_sided)
     return sample, CIResult(CIMethod.PERCENTILE, alpha, float(lower[0]),
-                            float(upper[0]), psi(theta_hat),
+                            float(upper[0]), _psi_at(psi, theta_hat),
                             {"B": sample.B, "failed": failed})
 
 
@@ -330,14 +341,13 @@ def observed_information(loglik, theta: np.ndarray, box=None) -> np.ndarray:
 
 
 def _psi_gradient(psi, theta: np.ndarray) -> np.ndarray:
+    """Central-difference gradient; psi takes the 2p stencil points at once."""
     theta = np.asarray(theta, dtype=float)
     h = np.finfo(float).eps ** (1.0 / 3.0) * (1.0 + np.abs(theta))
-    g = np.empty_like(theta)
-    for j in range(theta.shape[0]):
-        e = np.zeros_like(theta)
-        e[j] = h[j]
-        g[j] = (psi(theta + e) - psi(theta - e)) / (2.0 * h[j])
-    return g
+    steps = np.diag(h)
+    f = _psi_rows(psi, np.vstack([theta + steps, theta - steps]))
+    p = theta.shape[0]
+    return (f[:p] - f[p:]) / (2.0 * h)
 
 
 def _delta_method_sigma(psi, theta: np.ndarray, info: np.ndarray) -> float:
@@ -361,26 +371,27 @@ def _studentized(data, model, est, base, psi, B, master, *,
     _warn_small_B(B)
     psi = _as_psi(psi, model)
     theta_hat = base.estimate(data).pi
-    psi_hat = psi(theta_hat)
+    psi_hat = _psi_at(psi, theta_hat)
     sigma_hat = _delta_method_sigma(
         psi, theta_hat, observed_information(lambda t: model.loglik(t, data),
                                              theta_hat, model.box))
     theta_sim = model.box.clamp(theta_hat)
-    pivots, failed = [], 0
+    thetas, sigmas, failed = [], [], 0
     for u in _boot_blocks(master, replicate_id, B, model.noise_dim(data.n)):
         sim = model.simulate(theta_sim, RandomBlock(u=u))
         try:
             theta_b = base.estimate(sim).pi
-            sigma_b = _delta_method_sigma(
+            sigmas.append(_delta_method_sigma(
                 psi, theta_b, observed_information(
-                    lambda t: model.loglik(t, sim), theta_b, model.box))
+                    lambda t: model.loglik(t, sim), theta_b, model.box)))
         except ImplicitBootError:
             failed += 1
             continue
-        pivots.append((psi(theta_b) - psi_hat) / sigma_b)
+        thetas.append(theta_b)
     if failed > B // 2:
         raise NonConvergence(f"{failed}/{B} studentized draws failed")
-    sample = DistributionSample(np.asarray(pivots))
+    sample = DistributionSample((_psi_rows(psi, thetas) - psi_hat)
+                                / np.asarray(sigmas))
 
     def endpoints(alphas, two_sided):
         alphas = np.asarray(alphas, dtype=float)
@@ -415,15 +426,15 @@ def _leave_one_out(data: Dataset, i: int) -> Dataset:
 def jackknife_acceleration(data: Dataset, est: Estimator, psi) -> float | None:
     """Acceleration constant from jackknife skewness of psi at leave-one-out
     fits, or None when the jackknife is degenerate."""
-    jack = []
+    fits = []
     for i in range(data.n):
         try:
-            jack.append(psi(est.estimate(_leave_one_out(data, i)).pi))
+            fits.append(est.estimate(_leave_one_out(data, i)).pi)
         except ImplicitBootError:
             continue
-    jack = np.asarray(jack, dtype=float)
-    if jack.size < 2:
+    if len(fits) < 2:
         return None
+    jack = _psi_rows(psi, fits)
     centered = np.mean(jack) - jack
     denom = np.sum(centered ** 2) ** 1.5
     if denom < 1e-300:
@@ -446,7 +457,7 @@ def _bca(data, model, est, base, psi, B, master, *,
     psi = _as_psi(psi, model)
     theta_hat, stars, failed = _resample_thetas(data, model, base,
                                                 B, master, replicate_id)
-    psi_hat = psi(theta_hat)
+    psi_hat = _psi_at(psi, theta_hat)
     sample = DistributionSample(_psi_rows(psi, stars))
     Bv = sample.B
     frac = np.mean(sample.values < psi_hat)
@@ -492,7 +503,7 @@ def asymptotic_components(data: Dataset, model: ModelSpec, est: Estimator,
     """
     psi = _as_psi(psi, model)
     theta_hat = est.estimate(data).pi
-    psi_hat = psi(theta_hat)
+    psi_hat = _psi_at(psi, theta_hat)
     if cov == "bootstrap":
         seeds = derive_seeds(master, replicate_id, Role.INNER,
                              np.arange(1, B_cov + 1), salt=1)

@@ -128,6 +128,9 @@ class CensoredMeanEstimator(Estimator):
     def z(self, data, pi):
         return np.array([max(float(np.mean(data.y)), 0.0) - pi[0]])
 
+    def estimate_batch(self, batch):
+        return np.maximum(np.mean(batch.y, axis=1, keepdims=True), 0.0)
+
 
 def lomax_score(y: np.ndarray, b: float, q: float) -> np.ndarray:
     """Per-observation likelihood score of the Lomax density, shape (n, 2)."""

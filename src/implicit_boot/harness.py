@@ -31,8 +31,7 @@ from .estimators import (CensoredMeanEstimator, FrechetMLE, LomaxMLE,
                          StudentTCensoredMLE, StudentTNaiveMLE)
 from .matcher import MatchPath
 from .models import MODEL_REGISTRY, make_model
-from .rng import MasterSeed, Role, StreamKey, derive_seed, derive_seeds, \
-    draw_block, draw_uniforms
+from .rng import MasterSeed, Role, StreamKey, derive_seed, draw_block
 
 __all__ = [
     "ScenarioConfig",
@@ -74,7 +73,8 @@ def make_estimator(name: str, model):
 
 
 def make_psi(spec: str, model):
-    """Functional of theta named by a config string.
+    """Functional of theta named by a config string, evaluated on a (k, p)
+    array of parameter rows to give k values.
 
     ``"default"`` is the model's default scalar, ``"component:j"`` picks
     coordinate j, ``"survival:y0"`` the survival probability past y0 for
@@ -89,7 +89,7 @@ def make_psi(spec: str, model):
             raise ConfigError(f"bad component index in {spec!r}") from None
         if not 0 <= j < model.p:
             raise ConfigError(f"component {j} out of range for {model.name}")
-        return lambda theta: float(np.asarray(theta, dtype=float)[j])
+        return engines._as_psi(j, model)
     if spec.startswith("survival:"):
         if not hasattr(model, "survival"):
             raise ConfigError(f"{model.name} has no survival functional")
@@ -97,7 +97,7 @@ def make_psi(spec: str, model):
             y0 = float(spec.split(":", 1)[1])
         except ValueError:
             raise ConfigError(f"bad survival threshold in {spec!r}") from None
-        return lambda theta: float(model.survival(theta, y0))
+        return lambda thetas: model.survival(thetas, y0)
     raise ConfigError(f"unknown psi spec {spec!r}")
 
 
@@ -272,7 +272,7 @@ def run_coverage(cfg: ScenarioConfig, threads: int = 1, out_dir: str | None = No
     resolved configuration ``<scenario>_config.json`` there.
     """
     model, est, base, psi, master = setup(cfg)
-    v0 = psi(np.asarray(cfg.theta0))
+    v0 = engines._psi_at(psi, cfg.theta0)
 
     def one(m):
         return _replicate_stats(cfg, model, est, base, psi, master, m)
@@ -331,16 +331,16 @@ def run_coverage(cfg: ScenarioConfig, threads: int = 1, out_dir: str | None = No
 
 
 _EXACT_DEFAULTS = {
-    "uniform": {"n": 10, "theta0": 1.0,
+    "uniform": {"n": 10, "theta0": (1.0,), "estimator": "sample_max",
                 "alphas": (0.9, 0.925, 0.95, 0.975, 0.99)},
-    "pareto": {"n": 20, "theta0": (1.0, 1.0),
+    "pareto": {"n": 20, "theta0": (1.0, 1.0), "estimator": "pareto_mle",
                "alphas": (0.9, 0.925, 0.95, 0.975, 0.99)},
     # alpha = 1/2 exactly sits on the boundary atom: the B-sample quantile
     # then flips a near-fair coin whenever the observed estimate is 0, and
     # empirical coverage tends to 3/4 for every B even though the exact
     # conditional quantile gives 1/2.  The equality claim is therefore
     # checked strictly inside (0, 1/2).
-    "andrews": {"n": 25, "theta0": 0.0,
+    "andrews": {"n": 25, "theta0": (0.0,), "estimator": "censored_mean",
                 "alphas": (0.1, 0.25, 0.4, 0.45, 0.6, 0.75, 0.9)},
 }
 
@@ -351,11 +351,12 @@ def run_exact_check(example: str, M: int = 10000, B: int = 2000,
     """Verify the closed-form matched intervals hit their theoretical
     coverage across the alpha grid, within 3-sigma Monte Carlo bands.
 
-    For the uniform example the report also carries the percentile
-    parametric bootstrap's coverage as a known-to-fail contrast.  All
-    computation is vectorized over the B draws of each replicate; the same
-    canonical uniforms feed the summaries and (for the contrast) the
-    plug-in resampling, so results are exactly reproducible.
+    Each replicate runs the production implicit method (closed-form path,
+    the example's estimator, psi = each parameter coordinate in turn) on
+    data simulated at the true parameter.  For the uniform example the
+    report also carries the percentile parametric bootstrap's coverage as a
+    known-to-fail contrast.  Randomness is keyed as in
+    :func:`run_coverage`, so results are exactly reproducible.
     """
     if example not in _EXACT_DEFAULTS:
         raise ConfigError(f"no exact check for {example!r}; "
@@ -364,32 +365,28 @@ def run_exact_check(example: str, M: int = 10000, B: int = 2000,
     n = dft["n"] if n is None else int(n)
     alphas = np.asarray(dft["alphas"] if alphas is None else alphas,
                         dtype=float)
-    ks = np.ceil(alphas * B - 1e-9).astype(int).clip(1, B) - 1
-
-    names = {"uniform": ("theta",), "pareto": ("mu0", "alpha0"),
-             "andrews": ("theta",)}[example]
+    model = make_model(example)
+    est = make_estimator(dft["estimator"], model)
+    theta0 = np.asarray(dft["theta0"])
+    names = ("mu0", "alpha0") if example == "pareto" else ("theta",)
+    # the boundary mean's draws have an atom at theta0 = 0: covered strictly
+    covers = np.less if example == "andrews" else np.less_equal
     hits = np.zeros((len(names), alphas.size))
     pb_hits = np.zeros(alphas.size)
 
+    def upper(method, data, j, m):
+        return engines.METHOD_REGISTRY[method](
+            data, model, est, est, j, B, master, path=MatchPath.CLOSED_FORM,
+            replicate_id=m).endpoints(alphas, False)[1]
+
     for m in range(M):
-        u_obs = draw_uniforms(
-            np.uint64(derive_seed(master, StreamKey(m, Role.OBSERVED))), n)
-        pi_obs = _exact_pi_obs(example, dft["theta0"], u_obs)
-        seeds = derive_seeds(master, m, Role.BOOT, np.arange(1, B + 1))
-        U = draw_uniforms(seeds, n)
-        stats = exact.summaries_from_uniforms(example, U)
-        checks = exact.exact_theta_check_batch(example, pi_obs, stats)
-        for i in range(len(names)):
-            endpoints = np.sort(checks[:, i])[ks]
-            if example == "andrews":
-                hits[i] += np.asarray(dft["theta0"]) < endpoints
-            else:
-                theta_i = np.atleast_1d(dft["theta0"])[i]
-                hits[i] += theta_i <= endpoints
+        block = draw_block(derive_seed(master, StreamKey(m, Role.OBSERVED)), n)
+        data = model.simulate(theta0, block)
+        for j in range(len(names)):
+            hits[j] += covers(theta0[j], upper("implicit", data, j, m))
         if example == "uniform":
             # contrast: resample from the plug-in fit theta_hat = max(y)
-            boots = np.sort(pi_obs[0] * stats[:, 0])[ks]
-            pb_hits += dft["theta0"] <= boots
+            pb_hits += theta0[0] <= upper("percentile", data, 0, m)
 
     entries = []
     status = "PASS"
@@ -414,18 +411,6 @@ def run_exact_check(example: str, M: int = 10000, B: int = 2000,
             "alpha": a95, "coverage": cov, "band": band,
             "outside_band": bool(abs(cov - a95) > band)}
     return report
-
-
-def _exact_pi_obs(example: str, theta0, u_obs: np.ndarray) -> np.ndarray:
-    """Observed auxiliary estimate computed through the same summary
-    reduction the closed forms use (full-sample parity)."""
-    s = exact.summaries_from_uniforms(example, u_obs)[0]
-    if example == "uniform":
-        return np.array([theta0 * s[0]])
-    if example == "pareto":
-        mu0, alpha0 = theta0
-        return np.array([mu0 * s[0] ** (-1.0 / alpha0), alpha0 * s[1]])
-    return np.array([max(theta0 + s[0], 0.0)])
 
 
 def run_bench(cfg: ScenarioConfig, methods=None, reps: int = 10):

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import optimize
 
+from . import exact
 from .errors import ImplicitBootError, NoZFunction, UnsupportedExample
 from .estimators import AuxEstimate, Estimator
 from .models import ModelSpec
@@ -271,24 +272,17 @@ def closed_form_match(example: str, pi_obs: AuxEstimate, w_star_summary) -> Matc
     """Exact algebraic matching solution, parameterized by the observed
     auxiliary value only (the true parameter never enters).
 
-    ``w_star_summary`` is the simulated noise summary: the sample maximum of
-    n uniforms (uniform example), the pair (max of n reversed uniforms,
-    canonical shape estimate) for the Pareto example, or the scalar normal
-    mean for the boundary-mean example.
+    ``w_star_summary`` is one simulated noise summary or a (B, k) stack of
+    them: the sample maximum of n uniforms (uniform example), the pair (max
+    of n reversed uniforms, canonical shape estimate) for the Pareto example,
+    or the scalar normal mean for the boundary-mean example.  The formulas
+    are :func:`exact.exact_theta_check_batch`; ``theta_check`` has shape
+    (p,) for one summary and (B, p) for a stack.
     """
-    if example == "uniform":
-        u_star = float(np.asarray(w_star_summary).reshape(-1)[0])
-        theta = np.array([pi_obs.pi[0] / u_star])
-    elif example == "pareto":
-        w1s, w2s = np.asarray(w_star_summary, dtype=float).reshape(-1)
-        mu_hat, alpha_hat = pi_obs.pi
-        theta = np.array([mu_hat * w1s ** (w2s / alpha_hat), alpha_hat / w2s])
-    elif example == "andrews":
-        w_star = float(np.asarray(w_star_summary).reshape(-1)[0])
-        theta = np.array([max(pi_obs.pi[0] - w_star, 0.0)])
-    else:
-        raise UnsupportedExample(example)
-    return MatchResult(theta, 0.0, 0, True, MatchPath.CLOSED_FORM)
+    stats = np.asarray(w_star_summary, dtype=float)
+    theta = exact.exact_theta_check_batch(example, pi_obs, stats)
+    return MatchResult(theta if stats.ndim == 2 else theta[0], 0.0, 0, True,
+                       MatchPath.CLOSED_FORM)
 
 
 def supports_batch(model: ModelSpec, est: Estimator) -> bool:

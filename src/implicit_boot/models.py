@@ -134,8 +134,9 @@ class ModelSpec:
     def simulate(self, theta: np.ndarray, block: RandomBlock) -> Dataset:
         raise NotImplementedError
 
-    def default_psi(self, theta: np.ndarray) -> float:
-        return float(np.asarray(theta, dtype=float)[0])
+    def default_psi(self, thetas: np.ndarray) -> np.ndarray:
+        """The first coordinate of each parameter row: (k, p) -> (k,)."""
+        return np.asarray(thetas, dtype=float)[..., 0]
 
     def loglik(self, theta: np.ndarray, data: Dataset) -> float:
         raise NotImplementedError(f"{self.name} exposes no log-likelihood")
@@ -213,9 +214,10 @@ class LomaxModel(ModelSpec):
         y = data.y
         return float(np.sum(np.log(q / b) - (q + 1.0) * np.log1p(y / b)))
 
-    def survival(self, theta, y0: float) -> float:
-        b, q = np.asarray(theta, dtype=float)
-        return float((1.0 + y0 / b) ** (-q))
+    def survival(self, thetas, y0: float) -> np.ndarray:
+        """Pr(Y > y0) at each parameter row: (k, 2) -> (k,)."""
+        b, q = np.asarray(thetas, dtype=float).T
+        return (1.0 + y0 / b) ** (-q)
 
 
 class AndrewsModel(ModelSpec):
@@ -234,6 +236,9 @@ class AndrewsModel(ModelSpec):
     def simulate(self, theta, block):
         (theta,) = self._check(theta)
         return Dataset(y=theta + special.ndtri(block.u))
+
+    def simulate_batch(self, thetas, U):
+        return BatchDataset(y=np.asarray(thetas)[:, :1] + special.ndtri(U))
 
     def loglik(self, theta, data):
         (theta,) = self._check(theta)

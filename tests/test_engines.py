@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from implicit_boot import exact
 from implicit_boot.engines import (CIMethod, CIResult, DistributionSample,
                                    asymptotic_ci, asymptotic_components,
                                    bca_bootstrap, bca_level,
@@ -22,7 +23,7 @@ from implicit_boot.errors import DomainError, SingularInformation
 from implicit_boot.estimators import (CensoredMeanEstimator, LomaxMLE,
                                       LomaxNaiveWMLE, ParetoMLE,
                                       SampleMaxEstimator, StudentTCensoredMLE)
-from implicit_boot.matcher import MatchPath
+from implicit_boot.matcher import MatchPath, closed_form_match
 from implicit_boot.models import Dataset, make_model
 from implicit_boot.rng import (MasterSeed, Role, StreamKey, derive_seed,
                                derive_seeds, draw_block, draw_uniforms)
@@ -145,10 +146,53 @@ def test_implicit_interval_equivariant_under_monotone_psi():
     _, plain = implicit_bootstrap(data, model, est, B=250, master=MS,
                                   alpha=0.9, two_sided=True)
     _, logged = implicit_bootstrap(data, model, est,
-                                   psi=lambda t: float(np.log(t[0])),
+                                   psi=lambda t: np.log(t[:, 0]),
                                    B=250, master=MS, alpha=0.9, two_sided=True)
     assert logged.lower == pytest.approx(np.log(plain.lower), rel=1e-12)
     assert logged.upper == pytest.approx(np.log(plain.upper), rel=1e-12)
+
+
+_CLOSED_FORM_CASES = [
+    ("uniform", SampleMaxEstimator, [2.0], 12, 0),
+    ("andrews", CensoredMeanEstimator, [0.3], 25, 0),
+    ("pareto", ParetoMLE, [1.3, 0.8], 20, 4),
+]
+
+
+@pytest.mark.parametrize("name,make_est,theta0,n,ulps", _CLOSED_FORM_CASES,
+                         ids=[c[0] for c in _CLOSED_FORM_CASES])
+def test_closed_form_engine_equals_per_row_closed_form_match(
+        name, make_est, theta0, n, ulps):
+    # one batched closed-form call per replicate gives the draws of B
+    # single-summary calls: bit for bit where the formula is one rounding,
+    # within a few ulp where it takes an array power
+    model, est, B = make_model(name), make_est(), 2000
+    for j in range(len(theta0)):
+        data = model.simulate(theta0, _block(40 + j, n))
+        sample, ci = implicit_bootstrap(data, model, est, psi=j, B=B,
+                                        master=MS, path=MatchPath.CLOSED_FORM,
+                                        replicate_id=j)
+        seeds = derive_seeds(MS, j, Role.BOOT, np.arange(1, B + 1))
+        stats = exact.summaries_from_uniforms(name, draw_uniforms(seeds, n))
+        pi_obs = est.estimate(data)
+        rows = np.array([closed_form_match(name, pi_obs, s).theta_check[j]
+                         for s in stats])
+        if ulps == 0:
+            np.testing.assert_array_equal(sample.values, rows)
+        else:
+            np.testing.assert_array_max_ulp(sample.values, rows, maxulp=ulps)
+        assert ci.meta["mean_delta"] == 0.0 and ci.meta["delta_flag_frac"] == 0.0
+
+
+def test_scalar_returning_psi_raises_domain_error():
+    model, est = make_model("uniform"), SampleMaxEstimator()
+    data = _uniform_data(6)
+    for engine in (implicit_bootstrap, percentile_parametric_bootstrap):
+        with pytest.raises(DomainError, match="psi must map"):
+            engine(data, model, est, psi=lambda t: 1.0, B=100, master=MS)
+    with pytest.raises(DomainError, match="psi must map"):
+        asymptotic_components(data, model, est, psi=lambda t: t[:, :1],
+                              cov="bootstrap", master=MS)
 
 
 def test_one_sided_interval_is_upper_bound_only():
@@ -274,14 +318,14 @@ def test_bca_level_clipped_to_resolvable_range():
 def test_jackknife_acceleration_degenerate_returns_none():
     data = _uniform_data(11)
     assert jackknife_acceleration(data, SampleMaxEstimator(),
-                                  lambda t: 1.0) is None
+                                  lambda t: np.ones(len(t))) is None
 
 
 def test_bca_falls_back_to_percentile_on_degenerate_jackknife():
     model, est = make_model("uniform"), SampleMaxEstimator()
     data = _uniform_data(12)
     with pytest.warns(UserWarning, match="jackknife"):
-        ci = bca_bootstrap(data, model, est, psi=lambda t: 1.0, B=150,
+        ci = bca_bootstrap(data, model, est, psi=lambda t: np.ones(len(t)), B=150,
                            master=MS)
     assert ci.meta["fallback"] == "percentile"
 

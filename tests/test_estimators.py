@@ -207,6 +207,21 @@ def test_wmle_z_batch_matches_scalar():
                                    rtol=1e-12)
 
 
+def test_censored_mean_batch_matches_scalar():
+    est = CensoredMeanEstimator()
+    model = make_model("andrews")
+    # rows on both sides of the boundary: some clip to 0, some do not
+    Y = np.vstack([model.simulate([th], _block(60 + i, 25)).y
+                   for i, th in enumerate((0.0, 0.05, 0.4, 1.5, 0.0, 0.2))])
+    Y[1] -= 1.0
+    batch = est.estimate_batch(BatchDataset(y=Y))
+    assert batch.shape == (6, 1)
+    assert np.any(batch == 0.0) and np.any(batch > 0.0)
+    for i in range(6):
+        np.testing.assert_allclose(batch[i], est.estimate(Dataset(y=Y[i])).pi,
+                                   rtol=1e-12, atol=0.0)
+
+
 def test_huber_cutoff_value():
     from scipy import stats
     assert HUBER_CUTOFF == float(np.sqrt(stats.chi2.ppf(0.95, df=2)))

@@ -96,6 +96,26 @@ def test_make_estimator_and_psi_lookup():
         make_psi("weird", model)
 
 
+@pytest.mark.parametrize("spec", ["default", "component:0", "component:1",
+                                  "survival:6.0"])
+def test_make_psi_maps_parameter_rows_to_values(spec):
+    # one call on a (k, p) stack gives k values, each equal to the call on
+    # its own one-row array
+    psi = make_psi(spec, make_model("lomax"))
+    thetas = np.column_stack([np.linspace(0.2, 5.0, 7),
+                              np.linspace(4.0, 0.3, 7)])
+    values = psi(thetas)
+    assert values.shape == (7,)
+    rows = np.array([psi(thetas[i:i + 1])[0] for i in range(7)])
+    np.testing.assert_array_equal(values, rows)
+    if spec == "survival:6.0":
+        np.testing.assert_allclose(
+            values, (1.0 + 6.0 / thetas[:, 0]) ** -thetas[:, 1], rtol=1e-15)
+    else:
+        j = 1 if spec == "component:1" else 0
+        np.testing.assert_array_equal(values, thetas[:, j])
+
+
 # ---------------------------------------------------------------- CSV
 
 def _record(**kw):

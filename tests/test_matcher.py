@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from implicit_boot import exact, matcher
 from implicit_boot.errors import NoZFunction, UnsupportedExample
-from implicit_boot.estimators import (AuxEstimate, LomaxMLE, ParetoMLE,
-                                      SampleMaxEstimator)
+from implicit_boot.estimators import (AuxEstimate, CensoredMeanEstimator,
+                                      LomaxMLE, ParetoMLE, SampleMaxEstimator)
 from implicit_boot.matcher import (BoxTransform, InitRule, MatchPath,
                                    MatchResult, SolverConfig,
                                    batched_switched_match, closed_form_match,
@@ -160,7 +160,8 @@ def test_switched_is_cheaper_than_nested_on_the_lomax_model():
 
 def test_supports_batch_detection():
     assert supports_batch(make_model("lomax"), LomaxMLE())
-    assert not supports_batch(make_model("andrews"), SampleMaxEstimator())
+    # Andrews simulates in batches, but the censored mean has no z_batch
+    assert not supports_batch(make_model("andrews"), CensoredMeanEstimator())
 
 
 def test_batched_lomax_matches_scalar_rows():

@@ -120,7 +120,7 @@ def test_noise_reuse_varies_only_through_theta(name):
 
 # ---------------------------------------------------------------- batch parity
 
-@pytest.mark.parametrize("name", ["uniform", "pareto", "lomax",
+@pytest.mark.parametrize("name", ["uniform", "pareto", "lomax", "andrews",
                                   "student_t_censored", "mg1"])
 def test_batched_simulation_matches_scalar_rows(name):
     model = _make(name, n=30)
