@@ -45,8 +45,7 @@ from .errors import (DomainError, ImplicitBootError, NonConvergence,
                      SingularInformation)
 from .estimators import Estimator
 from .matcher import (BoxTransform, MatchPath, SolverConfig, _initial_theta,
-                      batched_switched_match, closed_form_match, nested_match,
-                      supports_batch, switched_match)
+                      batched_switched_match, closed_form_match, nested_match)
 from .models import Dataset, ModelSpec, ParamVector
 from .rng import MasterSeed, RandomBlock, Role, derive_seeds, draw_uniforms
 
@@ -210,11 +209,11 @@ def implicit_bootstrap(data: Dataset, model: ModelSpec, est: Estimator,
 
     The auxiliary estimate is computed once on ``data``; each draw b solves
     the matching problem against a fresh noise block keyed by (replicate_id,
-    BOOT, b).  The closed-form path solves all B draws in one call; draws
-    whose numeric solve raises are dropped and counted, and the call fails
-    only when more than half are lost.  ``psi`` maps the (B, p) array of
-    matched parameters to B values in one call.  Returns the psi sample and
-    the interval.
+    BOOT, b).  The closed-form and switched paths solve all B draws in one
+    call; the nested path solves them one by one, dropping and counting the
+    draws whose solve raises, and the call fails only when more than half
+    are lost.  ``psi`` maps the (B, p) array of matched parameters to B
+    values in one call.  Returns the psi sample and the interval.
     """
     _warn_small_B(B)
     psi = _as_psi(psi, model)
@@ -228,15 +227,15 @@ def implicit_bootstrap(data: Dataset, model: ModelSpec, est: Estimator,
         thetas = res.theta_check
         deltas = np.full(B, res.delta)
         converged = np.full(B, res.converged)
-    elif path is MatchPath.SWITCHED and supports_batch(model, est) and est.has_z:
+    elif path is MatchPath.SWITCHED:
         thetas, deltas, converged, _ = batched_switched_match(pi_obs, model,
                                                               est, U, cfg)
     else:
-        solver = switched_match if path is MatchPath.SWITCHED else nested_match
         results = []
         for u in U:
             try:
-                results.append(solver(pi_obs, model, est, RandomBlock(u=u), cfg))
+                results.append(nested_match(pi_obs, model, est, RandomBlock(u=u),
+                                            cfg))
             except ImplicitBootError:
                 continue
         thetas = np.array([r.theta_check for r in results])
@@ -265,7 +264,7 @@ def _re_estimates(theta: np.ndarray, model: ModelSpec, est: Estimator,
     Rows without an estimate (a raise, or the NaN row a batched estimator
     returns) are dropped.  Returns (estimates (k, p), dropped).
     """
-    if hasattr(model, "simulate_batch") and hasattr(est, "estimate_batch"):
+    if hasattr(est, "estimate_batch"):
         batch = model.simulate_batch(np.tile(theta, (U.shape[0], 1)), U)
         stars = np.asarray(est.estimate_batch(batch), dtype=float)
     else:
@@ -610,7 +609,7 @@ def indirect_inference_correct(data: Dataset, model: ModelSpec,
     seeds = derive_seeds(master, replicate_id, Role.INNER,
                          np.arange(1, H + 1), salt=2)
     U = draw_uniforms(seeds, m)
-    batch = hasattr(model, "simulate_batch") and hasattr(est, "estimate_batch")
+    batch = hasattr(est, "estimate_batch")
 
     def mean_pi(theta):
         if batch:

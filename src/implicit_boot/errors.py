@@ -26,7 +26,7 @@ class NonConvergence(ImplicitBootError):
 
 
 class NoZFunction(ImplicitBootError):
-    """The switched matching path needs an estimator exposing z_fn."""
+    """The switched matching path needs an estimator exposing z_batch."""
 
 
 class SingularInformation(ImplicitBootError):

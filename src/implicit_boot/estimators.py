@@ -1,8 +1,10 @@
 """Initial estimators: deliberately simple, possibly inconsistent.
 
 Each estimator is a pure map ``Dataset -> AuxEstimate``.  Estimators that can
-be written as Z-estimators additionally expose ``z(data, pi)``, the estimating
-equation residual, which enables the fast switched matching path.
+be written as Z-estimators additionally expose ``z_batch(batch, pi)``, the
+estimating-equation residual of every sample in a batch, which enables the
+switched matching path; ``z(data, pi)`` is the same residual on a batch of
+one.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 from scipy import optimize, special
 
 from .errors import DegenerateSample, EmptyData, NonConvergence
-from .models import Dataset, _t_logpdf
+from .models import BatchDataset, Dataset, _t_logpdf
 
 __all__ = [
     "AuxEstimate",
@@ -52,31 +54,41 @@ class AuxEstimate:
 
 
 class Estimator:
-    """Interface: a deterministic estimate, optionally a Z-function."""
+    """Interface: a deterministic estimate, optionally a Z-function.
+
+    A Z-estimator writes its estimating equation once, as ``z_batch``: a
+    :class:`BatchDataset` of B samples and one auxiliary value in, the
+    (B, p) residuals out.  ``z`` is that equation on a batch of one.
+    """
 
     name: str = ""
-    has_z: bool = False
 
     def estimate(self, data: Dataset) -> AuxEstimate:
         raise NotImplementedError
 
-    def z(self, data: Dataset, pi: np.ndarray) -> np.ndarray:
+    def z_batch(self, batch: BatchDataset, pi: np.ndarray) -> np.ndarray:
         raise NotImplementedError(f"{self.name} has no Z-function")
+
+    @property
+    def has_z(self) -> bool:
+        return type(self).z_batch is not Estimator.z_batch
+
+    def z(self, data: Dataset, pi: np.ndarray) -> np.ndarray:
+        batch = BatchDataset(
+            y=data.y[None], X=data.X,
+            censored=None if data.censored is None else data.censored[None])
+        return self.z_batch(batch, pi)[0]
 
 
 class SampleMaxEstimator(Estimator):
     """pi_hat = y_(n); the scale estimator for the uniform model."""
 
     name = "sample_max"
-    has_z = True
 
     def estimate(self, data):
         if data.n < 1:
             raise EmptyData("sample maximum of an empty sample")
         return AuxEstimate(pi=np.array([np.max(data.y)]))
-
-    def z(self, data, pi):
-        return np.array([np.max(data.y) - pi[0]])
 
     def z_batch(self, batch, pi):
         return np.max(batch.y, axis=1, keepdims=True) - pi[0]
@@ -89,7 +101,6 @@ class ParetoMLE(Estimator):
     """Closed-form Pareto MLE: mu_hat = y_(1), alpha_hat = n / sum log(y/y_(1))."""
 
     name = "pareto_mle"
-    has_z = True
 
     def estimate(self, data):
         if data.n < 2:
@@ -100,9 +111,6 @@ class ParetoMLE(Estimator):
         if denom <= 0.0:
             raise DegenerateSample("all observations equal; shape not identified")
         return AuxEstimate(pi=np.array([mu, data.n / denom]))
-
-    def z(self, data, pi):
-        return self.estimate(data).pi - np.asarray(pi, dtype=float)
 
     def estimate_batch(self, batch):
         y = batch.y
@@ -118,18 +126,17 @@ class CensoredMeanEstimator(Estimator):
     """pi_hat = max(mean(y), 0); the boundary-respecting mean."""
 
     name = "censored_mean"
-    has_z = True
 
     def estimate(self, data):
         if data.n < 1:
             raise EmptyData("mean of an empty sample")
         return AuxEstimate(pi=np.array([max(float(np.mean(data.y)), 0.0)]))
 
-    def z(self, data, pi):
-        return np.array([max(float(np.mean(data.y)), 0.0) - pi[0]])
-
     def estimate_batch(self, batch):
         return np.maximum(np.mean(batch.y, axis=1, keepdims=True), 0.0)
+
+    def z_batch(self, batch, pi):
+        return self.estimate_batch(batch) - np.asarray(pi, dtype=float)
 
 
 def lomax_score(y: np.ndarray, b: float, q: float) -> np.ndarray:
@@ -205,7 +212,6 @@ class LomaxMLE(Estimator):
     """
 
     name = "lomax_mle"
-    has_z = True
 
     def estimate(self, data):
         y = data.y
@@ -224,10 +230,6 @@ class LomaxMLE(Estimator):
         b = np.array([[np.exp(log_b)]])
         return AuxEstimate(pi=np.array([b[0, 0], _lomax_profile_shape(Y, b)[0]]),
                            converged=res.converged, iterations=res.iterations)
-
-    def z(self, data, pi):
-        b, q = np.asarray(pi, dtype=float)
-        return lomax_score(data.y, b, q).mean(axis=0)
 
     def z_batch(self, batch, pi):
         b, q = np.asarray(pi, dtype=float)
@@ -279,7 +281,6 @@ class LomaxNaiveWMLE(Estimator):
     """
 
     name = "lomax_naive_wmle"
-    has_z = True
 
     def __init__(self, cutoff: float = HUBER_CUTOFF):
         self.cutoff = float(cutoff)
@@ -292,12 +293,6 @@ class LomaxNaiveWMLE(Estimator):
         norms = np.linalg.norm(s @ root_inv, axis=1)
         with np.errstate(divide="ignore"):
             return np.minimum(1.0, self.cutoff / norms)
-
-    def z(self, data, pi):
-        b, q = np.asarray(pi, dtype=float)
-        s = lomax_score(data.y, b, q)
-        w = self.weights(data.y, b, q)
-        return (w[:, None] * s).mean(axis=0)
 
     def z_batch(self, batch, pi):
         b, q = np.asarray(pi, dtype=float)
@@ -358,7 +353,6 @@ class StudentTNaiveMLE(Estimator):
     """
 
     name = "student_t_naive_mle"
-    has_z = True
 
     def estimate(self, data):
         y, X = data.y, data.X
@@ -388,10 +382,6 @@ class StudentTNaiveMLE(Estimator):
             raise NonConvergence(f"t regression MLE: {res.message}")
         return AuxEstimate(pi=theta, converged=not at_edge, iterations=evals)
 
-    def z(self, data, pi):
-        _, g = _t_reg_loglik_grad(np.asarray(pi, dtype=float), data.y, data.X)
-        return g / data.n
-
     def z_batch(self, batch, pi):
         pi = np.asarray(pi, dtype=float)
         y, X = batch.y, batch.X
@@ -417,7 +407,6 @@ class StudentTCensoredMLE(Estimator):
     """
 
     name = "student_t_censored_mle"
-    has_z = False
 
     def __init__(self, model):
         self.model = model
@@ -472,7 +461,6 @@ class FrechetMLE(Estimator):
     """
 
     name = "frechet_mle"
-    has_z = True
 
     def estimate(self, data):
         y = data.y
@@ -508,12 +496,6 @@ class FrechetMLE(Estimator):
         if grad_norm > 1e-4 * data.n:
             raise NonConvergence(f"Frechet MLE gradient norm {grad_norm:.2e}")
         return AuxEstimate(pi=theta, converged=True, iterations=evals)
-
-    def z(self, data, pi):
-        ll, g = _frechet_loglik_grad(np.asarray(pi, dtype=float), data.y)
-        if not np.isfinite(ll):
-            return np.full(3, 1e6)
-        return g / data.n
 
     def z_batch(self, batch, pi):
         m, s, a = np.asarray(pi, dtype=float)

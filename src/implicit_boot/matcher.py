@@ -9,6 +9,10 @@ Three routes return a :class:`MatchResult`:
 * ``closed_form_match`` -- exact algebra for the uniform-scale, Pareto and
   boundary-mean examples.
 
+``batched_switched_match`` solves the switched problems of all B noise
+blocks of a replicate together, through the model's ``simulate_batch`` and
+the estimator's ``z_batch``; every Z-estimator takes it.
+
 All candidate evaluations inside one solve reuse the same noise block, so the
 objective is a deterministic function of the parameter.
 """
@@ -22,7 +26,7 @@ import numpy as np
 from scipy import optimize
 
 from . import exact
-from .errors import ImplicitBootError, NoZFunction, UnsupportedExample
+from .errors import ImplicitBootError, NoZFunction
 from .estimators import AuxEstimate, Estimator
 from .models import ModelSpec
 from .rng import RandomBlock
@@ -37,8 +41,6 @@ __all__ = [
     "switched_match",
     "closed_form_match",
     "batched_switched_match",
-    "supports_batch",
-    "run_match",
 ]
 
 
@@ -285,10 +287,6 @@ def closed_form_match(example: str, pi_obs: AuxEstimate, w_star_summary) -> Matc
                        MatchPath.CLOSED_FORM)
 
 
-def supports_batch(model: ModelSpec, est: Estimator) -> bool:
-    return hasattr(model, "simulate_batch") and hasattr(est, "z_batch")
-
-
 def batched_switched_match(pi_obs: AuxEstimate, model: ModelSpec, est: Estimator,
                            U: np.ndarray, cfg: SolverConfig = SolverConfig(),
                            max_iter: int = 60):
@@ -298,8 +296,8 @@ def batched_switched_match(pi_obs: AuxEstimate, model: ModelSpec, est: Estimator
     finite-difference Jacobian runs on the unconstrained coordinates of the
     whole batch, then again from the median of the solved rows for the rest.
     A row still unsolved goes to the scalar solver only when its iterate has
-    no re-estimate (a non-finite gap); the others keep their batched iterate
-    and come back unconverged.
+    no re-estimate (a non-finite gap) or its last Jacobian was zero; the
+    others keep their batched iterate and come back unconverged.
     Returns ``(thetas (B,p), deltas (B,), converged (B,), row_evals)``.
     """
     if not est.has_z:
@@ -309,6 +307,7 @@ def batched_switched_match(pi_obs: AuxEstimate, model: ModelSpec, est: Estimator
     transform = BoxTransform(model.box)
     pi = pi_obs.pi
     evals = 0
+    flat = np.zeros(B, dtype=bool)  # the row's last Jacobian was zero
 
     def zfun(t, rows):
         nonlocal evals
@@ -339,6 +338,7 @@ def batched_switched_match(pi_obs: AuxEstimate, model: ModelSpec, est: Estimator
                 tp = ta.copy()
                 tp[:, j] += h
                 J[:, :, j] = (zfun(tp, rows) - z) / h
+            flat[rows] = np.all(J == 0.0, axis=(1, 2))
             try:
                 dx = -np.linalg.solve(J, z[..., None])[..., 0]
             except np.linalg.LinAlgError:
@@ -382,15 +382,19 @@ def batched_switched_match(pi_obs: AuxEstimate, model: ModelSpec, est: Estimator
     deltas = _batch_deltas(pi_obs, model, est, thetas, U)
 
     # Scalar retry only for unsolved rows whose iterate has no re-estimate
-    # (a non-finite gap).  An unsolved row with a finite gap sits on a
-    # likelihood ridge where no finite solution exists: any solver walks the
-    # same ridge, so it keeps its batched iterate and stays unconverged.  On
-    # 300 criterion-6 Lomax replicates (n=50, B=500) the retry of every
-    # unsolved row ran 919 times and rescued one row, the only one with an
-    # infinite gap; the n=100 config retried 59 rows and rescued none.
+    # (a non-finite gap) or no Newton direction (a zero Jacobian).  An
+    # unsolved row with a finite gap and a direction sits on a likelihood
+    # ridge where no finite solution exists: any solver walks the same ridge,
+    # so it keeps its batched iterate and stays unconverged.  On 300
+    # criterion-6 Lomax replicates (n=50, B=500) the retry of every unsolved
+    # row ran 919 times and rescued one row, the only one with an infinite
+    # gap; the n=100 config retried 59 rows and rescued none.  A zero
+    # Jacobian is a flat equation, such as the censored mean's where the
+    # simulated mean is negative: the scalar solver's box-centre start
+    # leaves it.
     cheap = replace(cfg, restarts=1, max_evals=300 * p)
     replaced = []
-    for i in np.nonzero(~ok & ~np.isfinite(deltas))[0]:
+    for i in np.nonzero(~ok & (~np.isfinite(deltas) | flat))[0]:
         try:
             res = switched_match(pi_obs, model, est, RandomBlock(u=U[i]), cheap)
         except ImplicitBootError:
@@ -435,15 +439,3 @@ def _batch_deltas(pi_obs, model, est, thetas, U):
                         for i in range(U.shape[0])])
     gap = np.where(np.isfinite(gap), gap, np.inf)
     return np.linalg.norm(gap, axis=1)
-
-
-def run_match(path: MatchPath, pi_obs: AuxEstimate, model: ModelSpec,
-              est: Estimator, w_star: RandomBlock,
-              cfg: SolverConfig = SolverConfig()) -> MatchResult:
-    """Dispatch one matching solve along the configured path."""
-    if path is MatchPath.NESTED:
-        return nested_match(pi_obs, model, est, w_star, cfg)
-    if path is MatchPath.SWITCHED:
-        return switched_match(pi_obs, model, est, w_star, cfg)
-    raise UnsupportedExample("closed_form matching needs noise summaries; "
-                             "use closed_form_match directly")

@@ -1,8 +1,9 @@
 """Parametric data-generating processes.
 
-Each model is a pure, stateless map ``(theta, block) -> Dataset`` built from
-quantile transforms of open-interval uniforms, so the noise distribution
-never depends on the parameter.
+Each model is a pure, stateless map ``(thetas, U) -> BatchDataset`` built
+from quantile transforms of open-interval uniforms, so the noise
+distribution never depends on the parameter.  ``simulate(theta, block)`` is
+the same map on a batch of one.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ class Dataset:
         return self.y.shape[0]
 
 
-def student_t_quantile(u: np.ndarray, nu: float) -> np.ndarray:
+def student_t_quantile(u: np.ndarray, nu: float | np.ndarray) -> np.ndarray:
     """Student-t quantile via the inverse regularized incomplete beta.
 
     ``scipy.special.stdtrit`` inverts the regularized incomplete beta
@@ -122,7 +123,13 @@ def student_t_quantile(u: np.ndarray, nu: float) -> np.ndarray:
 
 
 class ModelSpec:
-    """Interface every data-generating process implements."""
+    """Interface every data-generating process implements.
+
+    A model writes its transform once, as ``simulate_batch``: B parameter
+    rows and B noise rows in, a :class:`BatchDataset` of B samples out.
+    ``simulate`` is that transform on a batch of one, after ``_check``; a
+    model with constraints beyond its box extends ``_check``.
+    """
 
     name: str = ""
     p: int = 0
@@ -131,8 +138,14 @@ class ModelSpec:
     def noise_dim(self, n: int) -> int:
         return n
 
-    def simulate(self, theta: np.ndarray, block: RandomBlock) -> Dataset:
+    def simulate_batch(self, thetas: np.ndarray, U: np.ndarray) -> BatchDataset:
         raise NotImplementedError
+
+    def simulate(self, theta: np.ndarray, block: RandomBlock) -> Dataset:
+        theta = self._check(theta)
+        batch = self.simulate_batch(theta[None], block.u[None])
+        return Dataset(y=batch.y[0], X=batch.X,
+                       censored=None if batch.censored is None else batch.censored[0])
 
     def default_psi(self, thetas: np.ndarray) -> np.ndarray:
         """The first coordinate of each parameter row: (k, p) -> (k,)."""
@@ -164,10 +177,6 @@ class UniformScaleModel(ModelSpec):
     def __init__(self):
         self.box = Box(np.array([0.0]), np.array([np.inf]))
 
-    def simulate(self, theta, block):
-        (theta,) = self._check(theta)
-        return Dataset(y=theta * block.u)
-
     def simulate_batch(self, thetas, U):
         return BatchDataset(y=np.asarray(thetas)[:, :1] * U)
 
@@ -180,10 +189,6 @@ class ParetoModel(ModelSpec):
 
     def __init__(self):
         self.box = Box(np.zeros(2), np.full(2, np.inf))
-
-    def simulate(self, theta, block):
-        mu, alpha = self._check(theta)
-        return Dataset(y=mu * (1.0 - block.u) ** (-1.0 / alpha))
 
     def simulate_batch(self, thetas, U):
         thetas = np.asarray(thetas, dtype=float)
@@ -199,10 +204,6 @@ class LomaxModel(ModelSpec):
 
     def __init__(self):
         self.box = Box(np.zeros(2), np.full(2, np.inf))
-
-    def simulate(self, theta, block):
-        b, q = self._check(theta)
-        return Dataset(y=b * ((1.0 - block.u) ** (-1.0 / q) - 1.0))
 
     def simulate_batch(self, thetas, U):
         thetas = np.asarray(thetas, dtype=float)
@@ -232,10 +233,6 @@ class AndrewsModel(ModelSpec):
 
     def __init__(self):
         self.box = Box(np.array([-1e-12]), np.array([np.inf]))
-
-    def simulate(self, theta, block):
-        (theta,) = self._check(theta)
-        return Dataset(y=theta + special.ndtri(block.u))
 
     def simulate_batch(self, thetas, U):
         return BatchDataset(y=np.asarray(thetas)[:, :1] + special.ndtri(U))
@@ -278,17 +275,10 @@ class StudentTCensoredModel(ModelSpec):
         self.X.setflags(write=False)
         self._n = n
 
-    def simulate(self, theta, block):
-        theta = self._check(theta)
-        beta, sigma, nu = theta[:5], theta[5], theta[6]
-        y = self.X @ beta + sigma * student_t_quantile(block.u, nu)
-        d = (y > 0.0).astype(float)
-        return Dataset(y=y * d, X=self.X, censored=d)
-
     def simulate_batch(self, thetas, U):
         thetas = np.asarray(thetas, dtype=float)
         beta, sigma, nu = thetas[:, :5], thetas[:, 5:6], thetas[:, 6:7]
-        eps = special.stdtrit(np.broadcast_to(nu, U.shape), U)
+        eps = student_t_quantile(U, np.broadcast_to(nu, U.shape))
         y = beta @ self.X.T + sigma * eps
         d = (y > 0.0).astype(float)
         return BatchDataset(y=y * d, X=self.X, censored=d)
@@ -339,19 +329,6 @@ class MG1QueueModel(ModelSpec):
             raise OutOfBox(f"mg1 requires theta1 < theta2, got {theta}")
         return theta
 
-    def simulate(self, theta, block):
-        t1, t2, t3 = self._check(theta)
-        n = block.m // 2
-        s = t1 + (t2 - t1) * block.u[:n]
-        v = -np.log1p(-block.u[n:]) / t3
-        a = np.cumsum(v)
-        # d_i = max(d_{i-1}, a_i) + s_i with d_0 = 0 unrolls to
-        # d_i = S_i + max_{j<=i}(a_j - S_{j-1}), S_i = cumsum(s).
-        S = np.cumsum(s)
-        d = S + np.maximum.accumulate(a - (S - s))
-        y = np.diff(d, prepend=0.0)
-        return Dataset(y=y)
-
     def simulate_batch(self, thetas, U):
         thetas = np.asarray(thetas, dtype=float)
         t1, t2, t3 = thetas[:, :1], thetas[:, 1:2], thetas[:, 2:3]
@@ -359,6 +336,8 @@ class MG1QueueModel(ModelSpec):
         s = t1 + (t2 - t1) * U[:, :n]
         v = -np.log1p(-U[:, n:]) / t3
         a = np.cumsum(v, axis=1)
+        # d_i = max(d_{i-1}, a_i) + s_i with d_0 = 0 unrolls to
+        # d_i = S_i + max_{j<=i}(a_j - S_{j-1}), S_i = cumsum(s).
         S = np.cumsum(s, axis=1)
         d = S + np.maximum.accumulate(a - (S - s), axis=1)
         y = np.diff(d, axis=1, prepend=0.0)

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
+from implicit_boot import estimators
 from implicit_boot.errors import (DegenerateSample, EmptyData, NonConvergence)
 from implicit_boot.estimators import (HUBER_CUTOFF, CensoredMeanEstimator,
                                       FrechetMLE, LomaxMLE, LomaxNaiveWMLE,
                                       ParetoMLE, SampleMaxEstimator,
                                       StudentTCensoredMLE, StudentTNaiveMLE,
+                                      _frechet_loglik_grad, _t_reg_loglik_grad,
                                       lomax_fisher_information, lomax_score)
 from implicit_boot.models import BatchDataset, Dataset, make_model
 from implicit_boot.rng import (MasterSeed, Role, StreamKey, derive_seed,
@@ -203,8 +205,22 @@ def test_wmle_z_batch_matches_scalar():
     pi = (1.1, 1.4)
     zb = est.z_batch(BatchDataset(y=Y), pi)
     for i in range(4):
-        np.testing.assert_allclose(zb[i], est.z(Dataset(y=Y[i]), pi),
-                                   rtol=1e-12)
+        ref = (est.weights(Y[i], *pi)[:, None]
+               * lomax_score(Y[i], *pi)).mean(axis=0)
+        np.testing.assert_allclose(zb[i], ref, rtol=1e-12)
+
+
+def test_estimators_write_their_z_once():
+    # z is z_batch on a batch of one, written in Estimator only; has_z
+    # follows from z_batch
+    classes = [c for c in vars(estimators).values()
+               if isinstance(c, type) and issubclass(c, estimators.Estimator)
+               and c is not estimators.Estimator]
+    assert [c.__name__ for c in classes if "z" in vars(c)] == []
+    assert all(est.has_z for est in (
+        SampleMaxEstimator(), ParetoMLE(), CensoredMeanEstimator(), LomaxMLE(),
+        LomaxNaiveWMLE(), StudentTNaiveMLE(), FrechetMLE()))
+    assert not StudentTCensoredMLE(make_model("student_t_censored", n=50)).has_z
 
 
 def test_censored_mean_batch_matches_scalar():
@@ -258,7 +274,8 @@ def test_t_naive_mle_z_batch_matches_scalar():
     pi = np.array([3.8, 0.9, -0.4, 0.25, 0.15, 1.1, 6.0])
     zb = est.z_batch(batch, pi)
     for i, d in enumerate(rows):
-        np.testing.assert_allclose(zb[i], est.z(d, pi), rtol=1e-10, atol=1e-12)
+        ref = _t_reg_loglik_grad(pi, d.y, d.X)[1] / d.n
+        np.testing.assert_allclose(zb[i], ref, rtol=1e-10, atol=1e-12)
 
 
 def test_censored_t_mle_improves_the_censored_likelihood():
@@ -293,8 +310,8 @@ def test_frechet_z_batch_matches_scalar_and_flags_bad_rows():
     pi = np.array([0.8, 1.2, 2.5])
     zb = est.z_batch(BatchDataset(y=Y), pi)
     for i in range(3):
-        np.testing.assert_allclose(zb[i], est.z(Dataset(y=Y[i]), pi),
-                                   rtol=1e-12)
+        ref = _frechet_loglik_grad(pi, Y[i])[1] / Y.shape[1]
+        np.testing.assert_allclose(zb[i], ref, rtol=1e-12)
     # a location above the row minimum invalidates the density support
     bad = est.z_batch(BatchDataset(y=Y), np.array([np.min(Y) + 0.1, 1.0, 2.0]))
     assert np.any(np.all(bad == 1e6, axis=1))

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from implicit_boot import exact, matcher
+from implicit_boot import engines, exact, matcher
 from implicit_boot.errors import NoZFunction, UnsupportedExample
 from implicit_boot.estimators import (AuxEstimate, CensoredMeanEstimator,
                                       LomaxMLE, ParetoMLE, SampleMaxEstimator)
 from implicit_boot.matcher import (BoxTransform, InitRule, MatchPath,
                                    MatchResult, SolverConfig,
                                    batched_switched_match, closed_form_match,
-                                   nested_match, run_match, supports_batch,
-                                   switched_match)
+                                   nested_match, switched_match)
 from implicit_boot.models import Box, make_model
 from implicit_boot.rng import (MasterSeed, RandomBlock, Role, StreamKey,
                                derive_seed, derive_seeds, draw_block,
@@ -116,16 +115,6 @@ def test_closed_form_rejects_unknown_example():
         closed_form_match("lomax", AuxEstimate(pi=np.array([1.0])), [0.5])
 
 
-def test_run_match_dispatch():
-    model, est, pi, star = _uniform_instance(1)
-    a = run_match(MatchPath.NESTED, pi, model, est, star)
-    b = run_match(MatchPath.SWITCHED, pi, model, est, star)
-    assert a.path is MatchPath.NESTED and b.path is MatchPath.SWITCHED
-    np.testing.assert_allclose(a.theta_check, b.theta_check, rtol=1e-8)
-    with pytest.raises(UnsupportedExample):
-        run_match(MatchPath.CLOSED_FORM, pi, model, est, star)
-
-
 def test_user_init_rule_requires_a_point():
     model, est, pi, star = _uniform_instance(2)
     cfg = SolverConfig(init_rule=InitRule.USER)
@@ -158,10 +147,49 @@ def test_switched_is_cheaper_than_nested_on_the_lomax_model():
 
 # ---------------------------------------------------------------- batched path
 
-def test_supports_batch_detection():
-    assert supports_batch(make_model("lomax"), LomaxMLE())
-    # Andrews simulates in batches, but the censored mean has no z_batch
-    assert not supports_batch(make_model("andrews"), CensoredMeanEstimator())
+@pytest.mark.parametrize("block, theta0, near_boundary", [
+    pytest.param(220, 0.7, False, id="interior"),
+    # some draws' closed form is the boundary 0, and rows whose simulated
+    # mean at pi_hat is negative start on the flat part of max(mean, 0) - pi,
+    # where Newton has no direction: the scalar solver takes those rows
+    pytest.param(223, 0.15, True, id="near-boundary"),
+])
+def test_andrews_switched_path_is_one_batched_solve(monkeypatch, block, theta0,
+                                                    near_boundary):
+    # the censored mean is a Z-estimator, so its switched path is the batched
+    # solve; the draws are the closed form max(pi_hat - mean(eps*), 0) on the
+    # same noise
+    model, est = make_model("andrews"), CensoredMeanEstimator()
+    data = model.simulate([theta0], _block(block, 30))
+    pi = est.estimate(data)
+    assert pi.pi[0] > 0.0
+    calls = {"batched": 0, "scalar": 0}
+    batched, scalar = engines.batched_switched_match, matcher.switched_match
+
+    def counted_batched(*args, **kwargs):
+        calls["batched"] += 1
+        return batched(*args, **kwargs)
+
+    def counted_scalar(*args, **kwargs):
+        calls["scalar"] += 1
+        return scalar(*args, **kwargs)
+
+    monkeypatch.setattr(engines, "batched_switched_match", counted_batched)
+    monkeypatch.setattr(matcher, "switched_match", counted_scalar)
+    B, master = 200, MasterSeed(7)
+    sample, _ = engines.implicit_bootstrap(data, model, est, B=B, master=master,
+                                           path=MatchPath.SWITCHED,
+                                           replicate_id=3)
+    assert calls["batched"] == 1
+    assert (calls["scalar"] > 0) == near_boundary
+    U = draw_uniforms(derive_seeds(master, 3, Role.BOOT, np.arange(1, B + 1)),
+                      30)
+    ref = exact.exact_theta_check_batch(
+        "andrews", pi, exact.summaries_from_uniforms("andrews", U))[:, 0]
+    # Newton stops at |z| < 1e-11; a draw whose closed form is the boundary
+    # 0 ends within 1e-12 of it (the box's lower bound is -1e-12)
+    np.testing.assert_allclose(sample.values, ref, rtol=0.0, atol=1e-9)
+    assert np.any(ref == 0.0) == near_boundary
 
 
 def test_batched_lomax_matches_scalar_rows():
