@@ -4,7 +4,11 @@ Each estimator is a pure map ``Dataset -> AuxEstimate``.  Estimators that can
 be written as Z-estimators additionally expose ``z_batch(batch, pi)``, the
 estimating-equation residual of every sample in a batch, which enables the
 switched matching path; ``z(data, pi)`` is the same residual on a batch of
-one.
+one.  Estimators with a batched form expose ``estimate_batch(batch)``, the
+(B, p) estimates of a batch with NaN rows for samples without one; the
+engines re-estimate simulated samples through it in one call.  The
+censored-t MLE writes only that form: its ``estimate`` is a batch of one,
+and each row's fit is independent of the rows that share its batch.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import numpy as np
 from scipy import optimize, special
 
 from .errors import DegenerateSample, EmptyData, NonConvergence
-from .models import BatchDataset, Dataset, _t_logpdf
+from .models import (BatchDataset, Dataset, _censored_t_loglik_grad,
+                     _linear_predictor)
 
 __all__ = [
     "AuxEstimate",
@@ -74,10 +79,13 @@ class Estimator:
         return type(self).z_batch is not Estimator.z_batch
 
     def z(self, data: Dataset, pi: np.ndarray) -> np.ndarray:
-        batch = BatchDataset(
-            y=data.y[None], X=data.X,
-            censored=None if data.censored is None else data.censored[None])
-        return self.z_batch(batch, pi)[0]
+        return self.z_batch(_batch_of_one(data), pi)[0]
+
+
+def _batch_of_one(data: Dataset) -> BatchDataset:
+    return BatchDataset(
+        y=data.y[None], X=data.X,
+        censored=None if data.censored is None else data.censored[None])
 
 
 class SampleMaxEstimator(Estimator):
@@ -328,20 +336,11 @@ class LomaxNaiveWMLE(Estimator):
 
 def _t_reg_loglik_grad(theta: np.ndarray, y: np.ndarray, X: np.ndarray):
     """Log-likelihood and gradient of the (uncensored) t regression in the
-    natural parameterization theta = (beta..., sigma, nu)."""
-    k = X.shape[1]
-    beta, sigma, nu = theta[:k], theta[k], theta[k + 1]
-    r = (y - X @ beta) / sigma
-    ll = float(np.sum(_t_logpdf(r, nu)) - y.shape[0] * np.log(sigma))
-    u = (nu + 1.0) * r / (nu + r * r)
-    g_beta = X.T @ u / sigma
-    g_sigma = float(np.sum(r * u - 1.0) / sigma)
-    g_nu = float(np.sum(
-        0.5 * (special.digamma((nu + 1.0) / 2.0) - special.digamma(nu / 2.0) - 1.0 / nu)
-        - 0.5 * np.log1p(r * r / nu)
-        + (nu + 1.0) * r * r / (2.0 * nu * (nu + r * r))
-    ))
-    return ll, np.concatenate([g_beta, [g_sigma, g_nu]])
+    natural parameterization theta = (beta..., sigma, nu): row 0 of the
+    censored form with every response observed."""
+    ll, g = _censored_t_loglik_grad(theta[None], y[None], X,
+                                    np.ones((1, y.shape[0]), dtype=bool))
+    return float(ll[0]), g[0]
 
 
 class StudentTNaiveMLE(Estimator):
@@ -399,11 +398,112 @@ class StudentTNaiveMLE(Estimator):
         return np.column_stack([g_beta, g_sigma, g_nu]) / n
 
 
+_LOG_NU_BOUNDS = (np.log(0.3), np.log(100.0))
+_FIT_ROWS = 64  # rows of Y per censored-t solve
+
+
+def _t_natural(t: np.ndarray, k: int) -> np.ndarray:
+    """Rows (beta, log sigma, log nu) -> (beta, sigma, nu)."""
+    theta = t.copy()
+    theta[:, k:] = np.exp(t[:, k:])
+    return theta
+
+
+def _t_ascent(Y, X, observed, t):
+    """Maximize the censored t-regression log-likelihood of each row of Y.
+
+    Rows of ``t`` are starts in (beta, log sigma, log nu); log nu stays in
+    [log 0.3, log 100].  Each iteration takes a Newton step with the
+    Hessian's eigenvalues replaced by their absolute values, so the step
+    always ascends, and halves it until the log-likelihood rises enough
+    (Armijo).  A coordinate log nu at a bound whose gradient points out of
+    the box is held there.  A row stops once its predicted gain is below
+    1e-10, after one last full step.  Converged rows are frozen, and no
+    quantity mixes rows, so a row's fit does not depend on its batch.
+    Returns the fits in the same coordinates, NaN for rows that did not
+    converge.
+    """
+    B, k = t.shape[0], X.shape[1]
+    lo, hi = _LOG_NU_BOUNDS
+    t = t.copy()
+    t[:, k + 1] = np.clip(t[:, k + 1], lo, hi)
+    active = np.all(np.isfinite(t), axis=1)
+    converged = np.zeros(B, dtype=bool)
+
+    def loglik(tt, rows):
+        return _censored_t_loglik_grad(_t_natural(tt, k), Y[rows], X,
+                                       observed[rows], order=0)
+
+    for _ in range(50):  # 5-15 iterations from the usual starts
+        rows = np.nonzero(active)[0]
+        if rows.size == 0:
+            break
+        ta = t[rows]
+        theta = _t_natural(ta, k)
+        ll, g, H = _censored_t_loglik_grad(theta, Y[rows], X, observed[rows],
+                                           order=2)
+        # to (beta, log sigma, log nu)
+        jac = np.ones_like(theta)
+        jac[:, k:] = theta[:, k:]
+        g = g * jac
+        H = H * jac[:, :, None] * jac[:, None, :]
+        H[:, k, k] += g[:, k]
+        H[:, k + 1, k + 1] += g[:, k + 1]
+        m = ta[:, k + 1]
+        held = ((m >= hi) & (g[:, k + 1] > 0.0)) | ((m <= lo) & (g[:, k + 1] < 0.0))
+        g[held, k + 1] = 0.0
+        H[held, k + 1, :] = 0.0
+        H[held, :, k + 1] = 0.0
+        H[held, k + 1, k + 1] = -1.0
+        bad = ~(np.isfinite(ll) & np.all(np.isfinite(H), axis=(1, 2)))
+        H[bad] = -np.eye(k + 2)
+        w, V = np.linalg.eigh(-H)
+        w = np.abs(w)
+        w = np.maximum(w, 1e-12 * np.max(w, axis=1, keepdims=True))
+        c = np.sum(np.ascontiguousarray(V.transpose(0, 2, 1)) * g[:, None, :],
+                   axis=2) / w
+        dx = np.sum(V * c[:, None, :], axis=2)
+        gain = np.sum(c * c * w, axis=1)
+        big = np.max(np.abs(dx[:, k:]), axis=1)  # keeps exp() of the trial finite
+        cap = np.where(big > 2.0, 2.0 / np.maximum(big, 1e-300), 1.0)
+        dx *= cap[:, None]
+        slope = cap * gain  # the log-likelihood's derivative along dx
+
+        # rows whose predicted gain is negligible take the full step and
+        # stop; the others halve theirs until the Armijo condition holds
+        step = np.ones(rows.size)
+        search = ~bad & (gain > 1e-10)
+        for _ in range(40):
+            if not search.any():
+                break
+            i = np.nonzero(search)[0]
+            trial = ta[i] + step[i, None] * dx[i]
+            trial[:, k + 1] = np.clip(trial[:, k + 1], lo, hi)
+            ok = loglik(trial, rows[i]) >= ll[i] + 1e-4 * step[i] * slope[i]
+            search[i[ok]] = False
+            step[i[~ok]] *= 0.5
+        stuck = search  # no acceptable step: no fit for the row
+        new = ta + step[:, None] * dx
+        new[:, k + 1] = np.clip(new[:, k + 1], lo, hi)
+        t[rows] = np.where((bad | stuck)[:, None], np.nan, new)
+        done = ~bad & ~stuck & (gain <= 1e-10)
+        converged[rows[done]] = True
+        active[rows[bad | stuck | done]] = False
+    t[~converged] = np.nan
+    return t
+
+
 class StudentTCensoredMLE(Estimator):
     """Direct maximizer of the censored t-regression likelihood.
 
-    The consistent comparator used by the baseline CI methods; maximizes the
-    model's censored log-likelihood numerically (no EM).
+    The consistent comparator used by the baseline CI methods.  Each fit
+    starts from the naive t fit (the same ascent with every response taken
+    as observed, from least squares), then climbs the censored
+    log-likelihood by damped Newton with its analytic gradient and Hessian
+    (see :func:`_t_ascent`).  ``estimate_batch`` fits the samples of a
+    batch together, NaN rows marking samples without a fit; ``estimate`` is
+    that fit on a batch of one and raises instead of returning NaN.
+    Fits are clamped 1e-9 of the box width inside the box.
     """
 
     name = "student_t_censored_mle"
@@ -412,26 +512,29 @@ class StudentTCensoredMLE(Estimator):
         self.model = model
 
     def estimate(self, data):
-        init = StudentTNaiveMLE().estimate(data).pi
-        k = init.shape[0] - 2
-        x0 = np.concatenate([init[:k], np.log(init[k:])])
-        evals = 0
+        theta = self.estimate_batch(_batch_of_one(data))[0]
+        if not np.all(np.isfinite(theta)):
+            raise NonConvergence("censored t-regression MLE did not converge")
+        return AuxEstimate(pi=theta)
 
-        def negloglik(t):
-            nonlocal evals
-            evals += 1
-            theta = np.concatenate([t[:k], np.exp(t[k:])])
-            theta = self.model.box.clamp(theta, margin=1e-9)
-            return -self.model.loglik(theta, data)
-
-        bounds = [(None, None)] * k + [(None, None), (np.log(0.3), np.log(100.0))]
-        res = optimize.minimize(negloglik, x0, method="L-BFGS-B", bounds=bounds,
-                                options={"maxiter": 1000, "ftol": 1e-12})
-        # the point the objective evaluated: exp(log 100) can land just
-        # outside the box
-        theta = np.concatenate([res.x[:k], np.exp(res.x[k:])])
-        theta = self.model.box.clamp(theta, margin=1e-9)
-        return AuxEstimate(pi=theta, converged=bool(res.success), iterations=evals)
+    def estimate_batch(self, batch):
+        Y, X = batch.y, batch.X
+        k = X.shape[1]
+        observed = (batch.censored if batch.censored is not None
+                    else (Y > 0.0).astype(float)) > 0.5
+        beta = np.einsum("kn,bn->bk", np.linalg.pinv(X), Y)
+        s = np.maximum(np.std(Y - _linear_predictor(beta, X), axis=1), 1e-3)
+        t = np.column_stack([beta, np.log(s), np.full(Y.shape[0], np.log(5.0))])
+        if Y.shape[1] <= k + 2:
+            t[:] = np.nan
+        # the fits are row by row, so blocks of rows give the same fits;
+        # they bound the working set, which grows with the rows of a solve
+        for i in range(0, Y.shape[0], _FIT_ROWS):
+            rows = slice(i, i + _FIT_ROWS)
+            naive = _t_ascent(Y[rows], X, np.ones(Y[rows].shape, dtype=bool),
+                              t[rows])
+            t[rows] = _t_ascent(Y[rows], X, observed[rows], naive)
+        return self.model.box.clamp(_t_natural(t, k), margin=1e-9)
 
 
 def _frechet_loglik_grad(theta: np.ndarray, y: np.ndarray):

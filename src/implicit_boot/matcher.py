@@ -159,7 +159,10 @@ class _CountingObjective:
         self.evals += 1
         theta = self.transform.to_box(t)
         try:
-            out = self.fn(theta)
+            # overflow and 0/0 at a far-off candidate come back as non-finite
+            # values, which the penalty below absorbs
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                out = self.fn(theta)
         except ImplicitBootError:
             return (self.PENALTY if self.dim is None
                     else np.full(self.dim, self.PENALTY))

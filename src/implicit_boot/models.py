@@ -279,7 +279,7 @@ class StudentTCensoredModel(ModelSpec):
         thetas = np.asarray(thetas, dtype=float)
         beta, sigma, nu = thetas[:, :5], thetas[:, 5:6], thetas[:, 6:7]
         eps = student_t_quantile(U, np.broadcast_to(nu, U.shape))
-        y = beta @ self.X.T + sigma * eps
+        y = _linear_predictor(beta, self.X) + sigma * eps
         d = (y > 0.0).astype(float)
         return BatchDataset(y=y * d, X=self.X, censored=d)
 
@@ -287,23 +287,110 @@ class StudentTCensoredModel(ModelSpec):
         """Censored-data likelihood: density on observed rows, t upper tail
         probability of the linear predictor on censored rows."""
         theta = self._check(theta)
-        beta, sigma, nu = theta[:5], theta[5], theta[6]
         X = data.X if data.X is not None else self.X
         d = data.censored if data.censored is not None else (data.y > 0.0).astype(float)
-        eta = X @ beta
-        obs = d > 0.5
-        r = (data.y[obs] - eta[obs]) / sigma
-        ll = np.sum(_t_logpdf(r, nu)) - np.count_nonzero(obs) * np.log(sigma)
-        if np.any(~obs):
-            # Pr(Y <= 0) equals the t CDF evaluated at -eta/sigma.
-            ll += np.sum(np.log(special.stdtr(nu, -eta[~obs] / sigma)))
-        return float(ll)
+        return float(_censored_t_loglik_grad(theta[None], data.y[None], X,
+                                             d[None] > 0.5, order=0)[0])
 
 
-def _t_logpdf(r: np.ndarray, nu: float) -> np.ndarray:
+def _linear_predictor(beta: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """x_i' beta for every row of ``beta`` (B, k): (B, n).
+
+    Not ``beta @ X.T``: the rounding of a BLAS product depends on the batch
+    shape, and a row must come out the same whatever rows share its batch.
+    """
+    return np.einsum("bk,nk->bn", beta, X)
+
+
+# relative step in nu of the central differences of log T_nu on censored rows
+_NU_STEP = 1e-4
+
+
+def _censored_t_loglik_grad(thetas: np.ndarray, Y: np.ndarray, X: np.ndarray,
+                            observed: np.ndarray, order: int = 1):
+    """Censored t-regression log-likelihood of each row, with derivatives.
+
+    Row b of ``thetas`` (B, k+2) holds (beta, sigma, nu) and is scored on row
+    b of ``Y`` (B, n), whose entries with ``observed`` (B, n) false are
+    censored at 0 and stored as 0.  With r = (y - x'beta) / sigma, an
+    observed entry adds log t_nu(r) - log sigma and a censored one
+    log T_nu(r), the t CDF at -x'beta / sigma.
+    Returns the log-likelihoods (B,); with ``order`` 1 also the gradients
+    in (beta, sigma, nu), (B, k+2); with ``order`` 2 also the Hessians,
+    (B, k+2, k+2).  The nu derivatives of log T_nu are central differences
+    (scipy has none); everything else is closed form.  Every sum runs over
+    the last axis of one row's terms, so a row does not depend on the rows
+    stacked with it.
+    """
+    k = X.shape[1]
+    sigma, nu = thetas[:, k:k + 1], thetas[:, k + 1:k + 2]
+    r = (Y - _linear_predictor(thetas[:, :k], X)) / sigma
+    rr = r * r
+    log1p = np.log1p(rr / nu)
     c = (special.gammaln((nu + 1.0) / 2.0) - special.gammaln(nu / 2.0)
          - 0.5 * np.log(nu * np.pi))
-    return c - 0.5 * (nu + 1.0) * np.log1p(r * r / nu)
+    phi = c - 0.5 * (nu + 1.0) * log1p  # log t_nu(r); log T_nu(r) where censored
+    cens = ~np.asarray(observed, dtype=bool)
+    r_c, nu_c = r[cens], np.broadcast_to(nu, r.shape)[cens]
+    log_pdf = phi[cens]
+    log_cdf = np.log(special.stdtr(nu_c, r_c))
+    phi[cens] = log_cdf
+    n_obs = r.shape[1] - np.count_nonzero(cens, axis=1)
+    ll = np.sum(phi, axis=1) - n_obs * np.log(sigma[:, 0])
+    if order == 0:
+        return ll
+
+    # derivatives of phi in r and nu, entry by entry, overwritten where
+    # censored
+    w = nu + rr
+    phi_r = -(nu + 1.0) * r / w
+    dig = 0.5 * (special.digamma((nu + 1.0) / 2.0) - special.digamma(nu / 2.0)
+                 - 1.0 / nu)
+    phi_nu = dig - 0.5 * log1p + (nu + 1.0) * rr / (2.0 * nu * w)
+    h = _NU_STEP * nu_c
+    log_cdf_up = np.log(special.stdtr(nu_c + h, r_c))
+    log_cdf_down = np.log(special.stdtr(nu_c - h, r_c))
+    lam = np.exp(log_pdf - log_cdf)                        # t_nu(r) / T_nu(r)
+    pdf_r, pdf_nu = phi_r[cens], phi_nu[cens]
+    phi_r[cens] = lam
+    phi_nu[cens] = (log_cdf_up - log_cdf_down) / (2.0 * h)
+    # (beta, sigma) enter through r only: d r / d(beta, sigma) = -cols / sigma.
+    # Sums run over one (B, n) product at a time, along its last axis.
+    cols = [X[:, i] for i in range(k)] + [r]
+    g = np.empty((r.shape[0], k + 2))
+    for i, col in enumerate(cols):
+        g[:, i] = -np.sum(col * phi_r, axis=1)
+    g[:, :k + 1] /= sigma
+    g[:, k] -= n_obs / sigma[:, 0]
+    g[:, k + 1] = np.sum(phi_nu, axis=1)
+    if order == 1:
+        return ll, g
+
+    w *= w  # (nu + r^2)^2
+    phi_rr = -(nu + 1.0) * (nu - rr) / w
+    phi_rnu = -r * (rr - 1.0) / w
+    trigam = 0.25 * (special.polygamma(1, (nu + 1.0) / 2.0)
+                     - special.polygamma(1, nu / 2.0)) + 0.5 / (nu * nu)
+    phi_nunu = trigam + rr * (rr * (nu - 1.0) - 2.0 * nu) / (2.0 * nu * nu * w)
+    phi_rr[cens] = lam * (pdf_r - lam)
+    phi_rnu[cens] = lam * (pdf_nu - phi_nu[cens])
+    phi_nunu[cens] = (log_cdf_up - 2.0 * log_cdf + log_cdf_down) / (h * h)
+    H = np.empty((r.shape[0], k + 2, k + 2))
+    for i, col in enumerate(cols):
+        weighted = col * phi_rr
+        for j in range(i + 1):
+            H[:, i, j] = H[:, j, i] = np.sum(weighted * cols[j], axis=1)
+        H[:, i, k + 1] = H[:, k + 1, i] = -np.sum(col * phi_rnu, axis=1)
+    H[:, :k + 1, :k + 1] /= sigma[:, :, None] ** 2
+    H[:, :k + 1, k + 1] /= sigma
+    H[:, k + 1, :k + 1] /= sigma
+    # the second derivatives of r: d2r/dbeta dsigma = x / sigma^2,
+    # d2r/dsigma2 = 2 r / sigma^2; and n_obs / sigma^2 from -n_obs log sigma
+    H[:, :k, k] -= g[:, :k] / sigma
+    H[:, k, k] += (2.0 * np.sum(phi_r * r, axis=1) + n_obs) / sigma[:, 0] ** 2
+    H[:, k, :k] = H[:, :k, k]
+    H[:, k + 1, k + 1] = np.sum(phi_nunu, axis=1)
+    return ll, g, H
 
 
 class MG1QueueModel(ModelSpec):

@@ -290,6 +290,36 @@ def test_censored_t_fit_at_the_nu_bound_stays_in_the_box(m):
     assert np.isfinite(sigma) and sigma > 0.0
 
 
+def test_censored_t_percentile_bootstrap_fits_its_draws_in_one_batch(monkeypatch):
+    # criterion-7 config, replicate 0: the B re-estimates are one batched fit;
+    # the one scalar fit is the point estimate on the observed sample
+    model = make_model("student_t_censored", n=100)
+    est = StudentTCensoredMLE(model)
+    theta0 = [4.0, -1.0, 1.5, -0.5, -1.5, 1.4142135623730951, 2.0]
+    master = MasterSeed(0)
+    data = model.simulate(theta0, draw_block(
+        derive_seed(master, StreamKey(0, Role.OBSERVED)), 100))
+    batch_rows, scalar_calls = [], []
+    batch_fit = StudentTCensoredMLE.estimate_batch
+    scalar_fit = StudentTCensoredMLE.estimate
+
+    def counted_batch(self, batch):
+        batch_rows.append(batch.y.shape[0])
+        return batch_fit(self, batch)
+
+    def counted_scalar(self, sample):
+        scalar_calls.append(sample)
+        return scalar_fit(self, sample)
+
+    monkeypatch.setattr(StudentTCensoredMLE, "estimate_batch", counted_batch)
+    monkeypatch.setattr(StudentTCensoredMLE, "estimate", counted_scalar)
+    sample, _ = percentile_parametric_bootstrap(data, model, est, psi=1, B=200,
+                                                master=master)
+    assert len(scalar_calls) == 1 and scalar_calls[0] is data
+    assert batch_rows == [1, 200]  # the scalar fit is a batch of one
+    assert sample.B == 200
+
+
 def test_studentized_close_to_wald_at_large_n():
     model, est = make_model("lomax"), LomaxMLE()
     data = model.simulate([1.0, 1.5], _block(10, 2000))

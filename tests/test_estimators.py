@@ -18,7 +18,7 @@ from implicit_boot.estimators import (HUBER_CUTOFF, CensoredMeanEstimator,
                                       lomax_fisher_information, lomax_score)
 from implicit_boot.models import BatchDataset, Dataset, make_model
 from implicit_boot.rng import (MasterSeed, Role, StreamKey, derive_seed,
-                               draw_block)
+                               derive_seeds, draw_block, draw_uniforms)
 
 MS = MasterSeed(161803)
 
@@ -287,6 +287,94 @@ def test_censored_t_mle_improves_the_censored_likelihood():
     fit = StudentTCensoredMLE(model).estimate(data)
     assert model.loglik(fit.pi, data) >= model.loglik(
         model.box.clamp(naive, margin=1e-9), data)
+
+
+CRITERION7_THETA0 = np.array([4.0, -1.0, 1.5, -0.5, -1.5,
+                              1.4142135623730951, 2.0])
+
+
+def _criterion7_samples(m, B):
+    """Replicate m of the criterion-7 config (n=100, master seed 0): the
+    observed sample, and B samples simulated at its censored-t fit on the
+    replicate's first B boot blocks."""
+    model = make_model("student_t_censored", n=100)
+    master = MasterSeed(0)
+    data = model.simulate(CRITERION7_THETA0, draw_block(
+        derive_seed(master, StreamKey(m, Role.OBSERVED)), 100))
+    est = StudentTCensoredMLE(model)
+    theta_hat = model.box.clamp(est.estimate(data).pi)
+    U = draw_uniforms(derive_seeds(master, m, Role.BOOT, np.arange(1, B + 1)),
+                      100)
+    return model, est, data, model.simulate_batch(np.tile(theta_hat, (B, 1)), U)
+
+
+def _one_row(batch, i):
+    return BatchDataset(y=batch.y[i:i + 1], X=batch.X,
+                        censored=batch.censored[i:i + 1])
+
+
+def test_censored_t_mle_batch_rows_equal_single_fits():
+    model, est, _, batch = _criterion7_samples(0, 64)
+    # a sample with every response censored has no fit: its naive t fit
+    # climbs without bound as sigma shrinks
+    y, censored = batch.y.copy(), batch.censored.copy()
+    y[17], censored[17] = 0.0, 0.0
+    batch = BatchDataset(y=y, X=batch.X, censored=censored)
+    fits = est.estimate_batch(batch)
+    assert np.isnan(fits[17]).all()
+    assert np.isfinite(np.delete(fits, 17, axis=0)).all()
+    for i in range(64):
+        one = est.estimate_batch(_one_row(batch, i))[0]
+        assert np.array_equal(one, fits[i], equal_nan=True)
+        data = Dataset(y=y[i], X=batch.X, censored=censored[i])
+        if i == 17:
+            with pytest.raises(NonConvergence):
+                est.estimate(data)
+        else:
+            assert np.array_equal(est.estimate(data).pi, fits[i])
+
+
+def test_censored_t_mle_batch_permutes_with_its_rows():
+    # more rows than one ascent takes, so rows change blocks too
+    _, est, _, batch = _criterion7_samples(1, 100)
+    perm = np.random.default_rng(3).permutation(100)
+    fits = est.estimate_batch(batch)
+    permuted = est.estimate_batch(BatchDataset(
+        y=batch.y[perm], X=batch.X, censored=batch.censored[perm]))
+    assert np.array_equal(permuted, fits[perm])
+
+
+def _largest_probe_gain(model, theta, data):
+    """Largest log-likelihood gain over ``theta`` along the coordinate axes
+    and 4 fixed oblique directions, at steps 1e-4 and 1e-2 times
+    (1 + |theta|), skipping points outside the box."""
+    base = model.loglik(theta, data)
+    dirs = list(np.eye(7)) + list(np.random.default_rng(11).standard_normal((4, 7)))
+    gain = -np.inf
+    for d in dirs:
+        d = d / np.linalg.norm(d)
+        for h in (1e-4, 1e-2):
+            for sign in (1.0, -1.0):
+                t = theta + sign * h * d * (1.0 + np.abs(theta))
+                if model.box.contains(t):
+                    gain = max(gain, model.loglik(t, data) - base)
+    return gain
+
+
+@pytest.mark.parametrize("m", [0, 1, 260, 265])
+def test_censored_t_mle_fits_are_local_maxima_in_the_box(m):
+    # the observed fit and the first 8 bootstrap fits; replicates 260 and 265
+    # fit nu on its upper bound 100
+    model, est, data, batch = _criterion7_samples(m, 8)
+    fits = [(est.estimate(data).pi, data)]
+    fits += [(theta, Dataset(y=batch.y[i], X=batch.X,
+                             censored=batch.censored[i]))
+             for i, theta in enumerate(est.estimate_batch(batch))]
+    for theta, sample in fits:
+        assert model.box.contains(theta)
+        assert _largest_probe_gain(model, theta, sample) <= 1e-7
+    if m in (260, 265):
+        assert fits[0][0][6] > 99.9
 
 
 # ---------------------------------------------------------------- Frechet

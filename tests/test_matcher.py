@@ -1,5 +1,7 @@
 """Matching solvers: coordinate transforms, path agreement, batch parity."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -247,6 +249,16 @@ def test_scalar_retry_only_for_rows_without_a_re_estimate(monkeypatch, m,
     assert int(np.sum(~conv)) == unconverged
     assert np.all(np.isfinite(deltas[~conv]))
     assert np.all(np.isfinite(thetas))
+
+
+def test_scalar_retry_of_replicate_249_prints_no_warning():
+    # the retry evaluates far-off Lomax candidates whose simulation overflows;
+    # the objective maps the non-finite values to its penalty without a word
+    pi, model, est, U = _criterion6_replicate(249)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        thetas, deltas, conv, _ = batched_switched_match(pi, model, est, U)
+    assert conv[494] and deltas[494] <= 1e-8
 
 
 def test_batched_uniform_matches_closed_form():

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from implicit_boot.errors import OutOfBox
-from implicit_boot.models import (Box, MODEL_REGISTRY, ParamVector,
-                                  load_design_matrix, make_model,
-                                  student_t_quantile)
+from implicit_boot.models import (Box, Dataset, MODEL_REGISTRY, ParamVector,
+                                  _censored_t_loglik_grad, load_design_matrix,
+                                  make_model, student_t_quantile)
 from implicit_boot.rng import (MasterSeed, RandomBlock, Role, StreamKey,
-                               derive_seed, draw_block)
+                               derive_seed, derive_seeds, draw_block,
+                               draw_uniforms)
 
 MS = MasterSeed(271828)
 
@@ -209,6 +210,70 @@ def test_censored_t_loglik_reduces_to_t_density_when_uncensored():
     r = (data.y - model.X @ beta) / sigma
     ref = float(np.sum(stats.t.logpdf(r, nu) - np.log(sigma)))
     assert model.loglik(theta, data) == pytest.approx(ref, rel=1e-10)
+
+
+def test_censored_t_simulate_batch_rows_equal_simulate():
+    # a row must not depend on the rows stacked with it: the percentile
+    # baseline simulates B rows at once, a check re-simulates one of them
+    model = _make("student_t_censored", n=100)
+    theta = np.array([4.0, -1.0, 1.5, -0.5, -1.5, 1.4142135623730951, 2.0])
+    U = draw_uniforms(derive_seeds(MS, 24, Role.BOOT, np.arange(1, 201)), 100)
+    batch = model.simulate_batch(np.tile(theta, (200, 1)), U)
+    for i in range(200):
+        one = model.simulate(theta, RandomBlock(u=U[i]))
+        assert np.array_equal(batch.y[i], one.y)
+        assert np.array_equal(batch.censored[i], one.censored)
+
+
+def _censored_t_rows(n=60):
+    """Six (theta, y, observed) rows with censored entries, nu at 0.31, 2
+    and 99.9."""
+    model = _make("student_t_censored", n=n)
+    rng = np.random.default_rng(5)
+    nu = np.array([0.31, 2.0, 99.9, 0.31, 2.0, 99.9])
+    thetas = np.column_stack([rng.normal(1.0, 1.0, (6, 5)),
+                              np.exp(rng.normal(0.0, 0.3, 6)), nu])
+    eta = thetas[:, :5] @ model.X.T
+    y = eta + thetas[:, 5:6] * rng.standard_t(3.0, (6, n))
+    observed = y > 0.0
+    assert np.all(np.any(~observed, axis=1))
+    return model, thetas, np.where(observed, y, 0.0), observed
+
+
+def test_censored_t_loglik_matches_scipy_stats_reference():
+    model, thetas, Y, observed = _censored_t_rows()
+    ll = _censored_t_loglik_grad(thetas, Y, model.X, observed, order=0)
+    for b, theta in enumerate(thetas):
+        beta, sigma, nu = theta[:5], theta[5], theta[6]
+        eta, obs = model.X @ beta, observed[b]
+        ref = (np.sum(stats.t.logpdf((Y[b, obs] - eta[obs]) / sigma, nu))
+               - np.count_nonzero(obs) * np.log(sigma)
+               + np.sum(stats.t.logcdf(-eta[~obs] / sigma, nu)))
+        assert ll[b] == pytest.approx(ref, rel=1e-12)
+        # the model's scalar log-likelihood is row b of the same formula
+        data = Dataset(y=Y[b], X=model.X, censored=obs.astype(float))
+        assert model.loglik(theta, data) == ll[b]
+
+
+def test_censored_t_loglik_derivatives_match_central_differences():
+    # the gradient against central differences of the value, and the Hessian
+    # against central differences of the gradient; step 1e-5 (1 + |theta_j|).
+    # The nu derivatives of log T_nu are themselves central differences in
+    # the program, so the Hessian is held to 1e-5 relative, the gradient to
+    # 1e-7.
+    model, thetas, Y, observed = _censored_t_rows()
+    _, g, H = _censored_t_loglik_grad(thetas, Y, model.X, observed, order=2)
+    for j in range(7):
+        h = 1e-5 * (1.0 + np.abs(thetas[:, j]))
+        up, down = thetas.copy(), thetas.copy()
+        up[:, j] += h
+        down[:, j] -= h
+        f_up, g_up = _censored_t_loglik_grad(up, Y, model.X, observed)
+        f_down, g_down = _censored_t_loglik_grad(down, Y, model.X, observed)
+        np.testing.assert_allclose(g[:, j], (f_up - f_down) / (2.0 * h),
+                                   rtol=1e-7, atol=1e-7)
+        np.testing.assert_allclose(H[:, :, j], (g_up - g_down) / (2.0 * h[:, None]),
+                                   rtol=1e-5, atol=1e-5)
 
 
 def test_design_matrix_is_frozen():
