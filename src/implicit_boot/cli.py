@@ -3,7 +3,8 @@
 Subcommands: ``ci`` (intervals for a user dataset), ``simulate-coverage``,
 ``exact-check``, ``bench``, ``plot``.  Exit codes: 0 success, 2 malformed
 configuration or input, 3 a self-check failed its acceptance band, 4 too
-many Monte Carlo replicates had to be excluded.
+many Monte Carlo replicates had to be excluded, 5 a solver or estimator
+failed (for example ``NonConvergence``).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CHECK_FAILED = 3
 EXIT_EXCLUSIONS = 4
+EXIT_SOLVER = 5
 
 
 def _threads(args) -> int:
@@ -199,7 +201,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ImplicitBootError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -44,8 +44,9 @@ from . import exact
 from .errors import (DomainError, ImplicitBootError, NonConvergence,
                      SingularInformation)
 from .estimators import Estimator
-from .matcher import (BoxTransform, MatchPath, SolverConfig, _initial_theta,
-                      batched_switched_match, closed_form_match, nested_match)
+from .matcher import (_EVALS_PER_P, _RESTARTS, BoxTransform, MatchPath,
+                      SolverConfig, _initial_theta, batched_switched_match,
+                      closed_form_match, nested_match)
 from .models import Dataset, ModelSpec, ParamVector
 from .rng import MasterSeed, RandomBlock, Role, derive_seeds, draw_uniforms
 
@@ -640,7 +641,7 @@ def indirect_inference_correct(data: Dataset, model: ModelSpec,
         if f < best_f:
             best_t, best_f = sol.x, f
     step = 0.25
-    for _ in range(max(cfg.restarts, 1)):
+    for _ in range(_RESTARTS):
         if best_f <= cfg.tol_delta:
             break
         res = optimize.minimize(
@@ -648,12 +649,12 @@ def indirect_inference_correct(data: Dataset, model: ModelSpec,
             options={"initial_simplex": np.vstack(
                 [best_t, best_t + step * np.eye(best_t.shape[0])]),
                 "adaptive": True, "xatol": 1e-10, "fatol": 1e-13,
-                "maxfev": cfg.budget(model.p)})
+                "maxfev": _EVALS_PER_P * model.p})
         if res.fun < best_f:
             best_t, best_f = res.x, float(res.fun)
         step *= 0.05
     scale = 1.0 + float(np.linalg.norm(pi_obs.pi))
     if best_f > 1e-4 * scale:
         raise NonConvergence(
-            f"indirect-inference gap {best_f:.3g} after {cfg.restarts} restarts")
+            f"indirect-inference gap {best_f:.3g} after {_RESTARTS} restarts")
     return model.param(transform.to_box(best_t))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special
+from scipy import optimize
 
 from .errors import DegenerateSample, EmptyData, NonConvergence
 from .models import (BatchDataset, Dataset, _censored_t_loglik_grad,
@@ -382,20 +382,12 @@ class StudentTNaiveMLE(Estimator):
         return AuxEstimate(pi=theta, converged=not at_edge, iterations=evals)
 
     def z_batch(self, batch, pi):
-        pi = np.asarray(pi, dtype=float)
-        y, X = batch.y, batch.X
-        k = X.shape[1]
-        beta, sigma, nu = pi[:k], pi[k], pi[k + 1]
-        n = y.shape[1]
-        r = (y - X @ beta) / sigma  # (B, n)
-        u = (nu + 1.0) * r / (nu + r * r)
-        g_beta = (u @ X) / sigma
-        g_sigma = np.sum(r * u - 1.0, axis=1) / sigma
-        dig = 0.5 * (special.digamma((nu + 1.0) / 2.0)
-                     - special.digamma(nu / 2.0) - 1.0 / nu)
-        g_nu = np.sum(dig - 0.5 * np.log1p(r * r / nu)
-                      + (nu + 1.0) * r * r / (2.0 * nu * (nu + r * r)), axis=1)
-        return np.column_stack([g_beta, g_sigma, g_nu]) / n
+        # the censored score with every response observed, at one pi for
+        # all rows
+        y = batch.y
+        pi = np.asarray(pi, dtype=float)[None]
+        return _censored_t_loglik_grad(pi, y, batch.X,
+                                       np.ones(y.shape, dtype=bool))[1] / y.shape[1]
 
 
 _LOG_NU_BOUNDS = (np.log(0.3), np.log(100.0))

@@ -5,13 +5,14 @@ Three routes return a :class:`MatchResult`:
 * ``nested_match`` -- derivative-free minimization of the auxiliary-estimate
   gap, re-estimating on every candidate's simulated sample;
 * ``switched_match`` -- for Z-estimators, solve the simulated estimating
-  equation at the observed auxiliary value (one estimation total);
+  equation at the observed auxiliary value (one estimation total); it is
+  ``batched_switched_match`` on a batch of one;
 * ``closed_form_match`` -- exact algebra for the uniform-scale, Pareto and
   boundary-mean examples.
 
 ``batched_switched_match`` solves the switched problems of all B noise
 blocks of a replicate together, through the model's ``simulate_batch`` and
-the estimator's ``z_batch``; every Z-estimator takes it.
+the estimator's ``z_batch``; it is the one switched solver.
 
 All candidate evaluations inside one solve reuse the same noise block, so the
 objective is a deterministic function of the parameter.
@@ -20,7 +21,7 @@ objective is a deterministic function of the parameter.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
@@ -52,7 +53,6 @@ class MatchPath(enum.Enum):
 
 class InitRule(enum.Enum):
     AT_PI_HAT = "at_pi_hat"
-    AT_BOX_CENTER = "at_box_center"
     USER = "user"
 
 
@@ -60,13 +60,13 @@ class InitRule(enum.Enum):
 class SolverConfig:
     tol_delta: float = 1e-8
     tol_x: float = 1e-10
-    max_evals: int | None = None  # defaults to 2000 * p
-    restarts: int = 3
     init_rule: InitRule = InitRule.AT_PI_HAT
     init: np.ndarray | None = None
 
-    def budget(self, p: int) -> int:
-        return self.max_evals if self.max_evals is not None else 2000 * p
+
+_RESTARTS = 3  # Nelder-Mead restarts of the nested and indirect-inference fits
+_EVALS_PER_P = 2000  # their evaluation budget per parameter
+_MAX_ITER = 60  # Newton iterations per pass of the switched solver
 
 
 @dataclass(frozen=True)
@@ -138,61 +138,42 @@ def _initial_theta(cfg: SolverConfig, pi_obs: AuxEstimate, model: ModelSpec,
         if cfg.init is None:
             raise ValueError("init_rule=USER requires cfg.init")
         return np.asarray(cfg.init, dtype=float)
-    if cfg.init_rule is InitRule.AT_PI_HAT and pi_obs.pi.shape[0] == model.p:
+    if pi_obs.pi.shape[0] == model.p:
         return model.box.clamp(pi_obs.pi)
     return transform.center()
-
-
-class _CountingObjective:
-    """Wraps a theta-space objective for unconstrained coordinates, counting
-    evaluations and absorbing estimator failures into a large penalty."""
-
-    PENALTY = 1e10
-
-    def __init__(self, fn, transform, dim=None):
-        self.fn = fn
-        self.transform = transform
-        self.dim = dim
-        self.evals = 0
-
-    def __call__(self, t):
-        self.evals += 1
-        theta = self.transform.to_box(t)
-        try:
-            # overflow and 0/0 at a far-off candidate come back as non-finite
-            # values, which the penalty below absorbs
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                out = self.fn(theta)
-        except ImplicitBootError:
-            return (self.PENALTY if self.dim is None
-                    else np.full(self.dim, self.PENALTY))
-        if self.dim is None:
-            return out
-        out = np.atleast_1d(np.asarray(out, dtype=float))
-        return np.where(np.isfinite(out), out, self.PENALTY)
 
 
 def nested_match(pi_obs: AuxEstimate, model: ModelSpec, est: Estimator,
                  w_star: RandomBlock, cfg: SolverConfig = SolverConfig()) -> MatchResult:
     """Minimize the gap between observed and simulated auxiliary estimates."""
     transform = BoxTransform(model.box)
+    evals = 0
 
-    def gap(theta):
-        pi_star = est.estimate(model.simulate(theta, w_star)).pi
-        return float(np.linalg.norm(pi_obs.pi - pi_star))
+    def objective(t):
+        """The gap at unconstrained ``t``; an estimator failure scores 1e10."""
+        nonlocal evals
+        evals += 1
+        try:
+            # overflow and 0/0 at a far-off candidate come back as non-finite
+            # values, without a warning
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                pi_star = est.estimate(model.simulate(transform.to_box(t),
+                                                      w_star)).pi
+                return float(np.linalg.norm(pi_obs.pi - pi_star))
+        except ImplicitBootError:
+            return 1e10
 
-    objective = _CountingObjective(gap, transform)
     t0 = transform.to_unconstrained(_initial_theta(cfg, pi_obs, model, transform))
     f0 = objective(t0)
     best_t, best_f = t0, f0
     if f0 == 0.0:
-        return MatchResult(transform.to_box(t0), 0.0, objective.evals, True,
+        return MatchResult(transform.to_box(t0), 0.0, evals, True,
                            MatchPath.NESTED)
 
-    budget = cfg.budget(model.p)
-    per_restart = max(budget // max(cfg.restarts, 1), 50)
+    budget = _EVALS_PER_P * model.p
+    per_restart = budget // _RESTARTS
     step = 0.25
-    for _ in range(max(cfg.restarts, 1)):
+    for _ in range(_RESTARTS):
         simplex = np.vstack([best_t, best_t + step * np.eye(best_t.shape[0])])
         res = optimize.minimize(
             objective, best_t, method="Nelder-Mead",
@@ -205,72 +186,32 @@ def nested_match(pi_obs: AuxEstimate, model: ModelSpec, est: Estimator,
         step *= 0.05
         if best_f <= cfg.tol_delta:
             break
-        if objective.evals >= budget:
+        if evals >= budget:
             break
     theta = transform.to_box(best_t)
-    return MatchResult(theta, best_f, objective.evals,
-                       best_f <= cfg.tol_delta, MatchPath.NESTED)
+    return MatchResult(theta, best_f, evals, best_f <= cfg.tol_delta,
+                       MatchPath.NESTED)
 
 
 def switched_match(pi_obs: AuxEstimate, model: ModelSpec, est: Estimator,
                    w_star: RandomBlock, cfg: SolverConfig = SolverConfig()) -> MatchResult:
     """Solve the simulated estimating equation at the observed auxiliary value.
 
-    The reported residual is recomputed as the auxiliary-estimate gap so the
-    two matching paths are directly comparable.
+    The batched solve on a batch of one.  The reported residual is then
+    recomputed as the auxiliary-estimate gap of the checked simulation, so
+    the two matching paths are directly comparable and a solution outside
+    the model's region (say, an unstable M/G/1 queue) comes back with an
+    infinite gap, unconverged.
     """
-    if not est.has_z:
-        raise NoZFunction(f"{est.name} exposes no Z-function")
-    transform = BoxTransform(model.box)
-
-    def zres(theta):
-        return np.asarray(est.z(model.simulate(theta, w_star), pi_obs.pi), dtype=float)
-
-    objective = _CountingObjective(zres, transform, dim=model.p)
-    t0 = transform.to_unconstrained(_initial_theta(cfg, pi_obs, model, transform))
-    z0 = objective(t0)
-
-    def gap(theta):
-        pi_star = est.estimate(model.simulate(theta, w_star)).pi
-        return float(np.linalg.norm(pi_obs.pi - pi_star))
-
-    if np.all(z0 == 0.0):
-        theta = transform.to_box(t0)
-        return MatchResult(theta, gap(theta), objective.evals + 1, True,
-                           MatchPath.SWITCHED)
-
-    vec = objective
-
-    center_t = transform.to_unconstrained(transform.center())
-    starts = [t0, center_t, 0.5 * (t0 + center_t)]
-    best_t, best_norm = t0, float(np.linalg.norm(z0))
-    for s in starts:
-        sol = optimize.root(vec, s, method="hybr", options={"xtol": 1e-13})
-        norm = float(np.linalg.norm(vec(sol.x)))
-        if norm < best_norm:
-            best_t, best_norm = sol.x, norm
-        if best_norm <= 1e-9:
-            break
-    if best_norm > 1e-9:
-        # derivative-free fallback, then a finite-difference Gauss-Newton polish
-        nm_from = best_t if best_norm < _CountingObjective.PENALTY else center_t
-        nm = optimize.minimize(lambda t: float(np.linalg.norm(vec(t))), nm_from,
-                               method="Nelder-Mead",
-                               options={"adaptive": True, "xatol": 1e-10,
-                                        "fatol": 1e-13,
-                                        "maxfev": cfg.budget(model.p)})
-        ls = optimize.least_squares(vec, nm.x, method="lm", xtol=1e-13, ftol=1e-13)
-        cand_norm = float(np.linalg.norm(vec(ls.x)))
-        if cand_norm < best_norm:
-            best_t, best_norm = ls.x, cand_norm
-    theta = transform.to_box(best_t)
+    thetas, _, _, evals = batched_switched_match(pi_obs, model, est,
+                                                 w_star.u[None], cfg)
     try:
-        delta = gap(theta)
+        pi_star = est.estimate(model.simulate(thetas[0], w_star)).pi
+        delta = float(np.linalg.norm(pi_obs.pi - pi_star))
     except ImplicitBootError:
         delta = float("inf")
-    objective.evals += 1
-    return MatchResult(theta, delta, objective.evals,
-                       delta <= cfg.tol_delta, MatchPath.SWITCHED)
+    return MatchResult(thetas[0], delta, evals + 1, delta <= cfg.tol_delta,
+                       MatchPath.SWITCHED)
 
 
 def closed_form_match(example: str, pi_obs: AuxEstimate, w_star_summary) -> MatchResult:
@@ -291,16 +232,17 @@ def closed_form_match(example: str, pi_obs: AuxEstimate, w_star_summary) -> Matc
 
 
 def batched_switched_match(pi_obs: AuxEstimate, model: ModelSpec, est: Estimator,
-                           U: np.ndarray, cfg: SolverConfig = SolverConfig(),
-                           max_iter: int = 60):
+                           U: np.ndarray, cfg: SolverConfig = SolverConfig()):
     """Solve all B switched matching problems of one replicate together.
 
     ``U`` holds the B noise blocks as rows.  A damped Newton iteration with a
     finite-difference Jacobian runs on the unconstrained coordinates of the
     whole batch, then again from the median of the solved rows for the rest.
-    A row still unsolved goes to the scalar solver only when its iterate has
-    no re-estimate (a non-finite gap) or its last Jacobian was zero; the
-    others keep their batched iterate and come back unconverged.
+    A row still unsolved restarts, by the same iteration, from the box centre
+    and then from the midpoint of the first start and the centre, but only
+    when its iterate has no re-estimate (a non-finite gap) or it stopped on
+    a zero Jacobian; the others keep their iterate and come back
+    unconverged.
     Returns ``(thetas (B,p), deltas (B,), converged (B,), row_evals)``.
     """
     if not est.has_z:
@@ -310,38 +252,53 @@ def batched_switched_match(pi_obs: AuxEstimate, model: ModelSpec, est: Estimator
     transform = BoxTransform(model.box)
     pi = pi_obs.pi
     evals = 0
-    flat = np.zeros(B, dtype=bool)  # the row's last Jacobian was zero
 
-    def zfun(t, rows):
+    def zfun(t, V):
         nonlocal evals
         evals += t.shape[0]
-        thetas = transform.to_box(t)
-        z = np.asarray(est.z_batch(model.simulate_batch(thetas, U[rows]), pi),
-                       dtype=float)
+        z = np.asarray(est.z_batch(model.simulate_batch(transform.to_box(t), V),
+                                   pi), dtype=float)
         return np.where(np.isfinite(z), z, 1e8)
 
-    def newton_pass(t, active):
+    def newton_pass(t, V):
+        """Newton on every row of ``t``, row i solving on noise row V[i].
+
+        Updates ``t`` in place; returns it and whether each row stopped on a
+        zero Jacobian.
+        """
+        active = np.ones(t.shape[0], dtype=bool)
+        flat = np.zeros(t.shape[0], dtype=bool)
         h = 1e-7
-        for _ in range(max_iter):
-            rows = np.nonzero(active)[0]
+        for _ in range(_MAX_ITER):
+            rows = np.flatnonzero(active)
             if rows.size == 0:
                 break
-            ta = t[rows]
-            z = zfun(ta, rows)
+            ta, Va = t[rows], V[rows]
+            z = zfun(ta, Va)
             norms = np.linalg.norm(z, axis=1)
             done = norms < 1e-11
             if done.any():
                 active[rows[done]] = False
                 keep = ~done
-                rows, ta, z, norms = rows[keep], ta[keep], z[keep], norms[keep]
+                rows, ta, Va, z, norms = (rows[keep], ta[keep], Va[keep],
+                                          z[keep], norms[keep])
                 if rows.size == 0:
                     break
             J = np.empty((rows.size, p, p))
             for j in range(p):
                 tp = ta.copy()
                 tp[:, j] += h
-                J[:, :, j] = (zfun(tp, rows) - z) / h
-            flat[rows] = np.all(J == 0.0, axis=(1, 2))
+                J[:, :, j] = (zfun(tp, Va) - z) / h
+            zero = np.all(J == 0.0, axis=(1, 2))
+            if zero.any():
+                # no Newton direction: the row would never move again
+                flat[rows[zero]] = True
+                active[rows[zero]] = False
+                keep = ~zero
+                rows, ta, Va, z, norms, J = (rows[keep], ta[keep], Va[keep],
+                                             z[keep], norms[keep], J[keep])
+                if rows.size == 0:
+                    break
             try:
                 dx = -np.linalg.solve(J, z[..., None])[..., 0]
             except np.linalg.LinAlgError:
@@ -350,65 +307,61 @@ def batched_switched_match(pi_obs: AuxEstimate, model: ModelSpec, est: Estimator
             bad = ~np.all(np.isfinite(dx), axis=1)
             if bad.any():
                 dx[bad] = 0.0
-                active[rows[bad]] = False  # unsolved; see the retry rule below
+                active[rows[bad]] = False  # unsolved; see the restart rule below
             big = np.max(np.abs(dx), axis=1)
             scale = np.where(big > 4.0, 4.0 / np.maximum(big, 1e-300), 1.0)
             dx *= scale[:, None]
             # backtracking: halve steps on rows whose residual would grow
             step = np.ones(rows.size)
             for _ in range(6):
-                znew = zfun(ta + step[:, None] * dx, rows)
+                znew = zfun(ta + step[:, None] * dx, Va)
                 worse = np.linalg.norm(znew, axis=1) > norms
                 if not worse.any():
                     break
                 step[worse] *= 0.5
             t[rows] = ta + step[:, None] * dx
-        return t
+        return t, flat
 
     def solved_rows(t):
-        z = zfun(t, np.arange(B))
+        z = zfun(t, U)
         return np.linalg.norm(z, axis=1) < 1e-9 * max(1.0, float(np.linalg.norm(pi)))
 
     t0 = transform.to_unconstrained(_initial_theta(cfg, pi_obs, model, transform))
-    t = newton_pass(np.tile(t0, (B, 1)), np.ones(B, dtype=bool))
+    t, flat = newton_pass(np.tile(t0, (B, 1)), U)
     ok = solved_rows(t)
 
     # The solutions of one batch cluster: a second pass started from the
     # coordinate-wise median of the solved rows rescues most strays.
     if ok.any() and not ok.all():
         t_med = np.median(t[ok], axis=0)
-        t[~ok] = t_med
-        t = newton_pass(t, ~ok)
+        t[~ok], flat[~ok] = newton_pass(np.tile(t_med, (B - ok.sum(), 1)), U[~ok])
         ok = solved_rows(t)
 
     thetas = transform.to_box(t)
     deltas = _batch_deltas(pi_obs, model, est, thetas, U)
 
-    # Scalar retry only for unsolved rows whose iterate has no re-estimate
-    # (a non-finite gap) or no Newton direction (a zero Jacobian).  An
-    # unsolved row with a finite gap and a direction sits on a likelihood
-    # ridge where no finite solution exists: any solver walks the same ridge,
-    # so it keeps its batched iterate and stays unconverged.  On 300
-    # criterion-6 Lomax replicates (n=50, B=500) the retry of every unsolved
-    # row ran 919 times and rescued one row, the only one with an infinite
-    # gap; the n=100 config retried 59 rows and rescued none.  A zero
+    # Restart only unsolved rows whose iterate has no re-estimate (a
+    # non-finite gap) or no Newton direction (a zero Jacobian).  An unsolved
+    # row with a finite gap and a direction sits on a likelihood ridge where
+    # no finite solution exists: any start walks the same ridge, so it keeps
+    # its iterate and stays unconverged.  On 300 criterion-6 Lomax
+    # replicates (n=50, B=500) a retry of every unsolved row ran 919 times
+    # and rescued one row, the only one with an infinite gap.  A zero
     # Jacobian is a flat equation, such as the censored mean's where the
-    # simulated mean is negative: the scalar solver's box-centre start
-    # leaves it.
-    cheap = replace(cfg, restarts=1, max_evals=300 * p)
-    replaced = []
-    for i in np.nonzero(~ok & (~np.isfinite(deltas) | flat))[0]:
-        try:
-            res = switched_match(pi_obs, model, est, RandomBlock(u=U[i]), cheap)
-        except ImplicitBootError:
-            continue
-        evals += res.objective_evals
-        if res.delta < deltas[i]:
-            thetas[i] = res.theta_check
-            replaced.append(i)
-    if replaced:
-        deltas[replaced] = _batch_deltas(pi_obs, model, est, thetas[replaced],
-                                         U[replaced])
+    # simulated mean is negative: a start at the box centre leaves it.  A
+    # restart's iterate replaces the row's only if its gap is smaller.
+    center = transform.to_unconstrained(transform.center())
+    retry = np.flatnonzero(~ok & (~np.isfinite(deltas) | flat))
+    for start in (center, 0.5 * (t0 + center)):
+        if retry.size == 0:
+            break
+        t_r, _ = newton_pass(np.tile(start, (retry.size, 1)), U[retry])
+        thetas_r = transform.to_box(t_r)
+        deltas_r = _batch_deltas(pi_obs, model, est, thetas_r, U[retry])
+        better = deltas_r < deltas[retry]
+        thetas[retry[better]] = thetas_r[better]
+        deltas[retry[better]] = deltas_r[better]
+        retry = retry[deltas[retry] > cfg.tol_delta]
     converged = deltas <= cfg.tol_delta
     return thetas, deltas, converged, evals
 

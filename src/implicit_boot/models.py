@@ -312,7 +312,8 @@ def _censored_t_loglik_grad(thetas: np.ndarray, Y: np.ndarray, X: np.ndarray,
 
     Row b of ``thetas`` (B, k+2) holds (beta, sigma, nu) and is scored on row
     b of ``Y`` (B, n), whose entries with ``observed`` (B, n) false are
-    censored at 0 and stored as 0.  With r = (y - x'beta) / sigma, an
+    censored at 0 and stored as 0; one row of ``thetas`` (1, k+2) scores
+    every row of ``Y``.  With r = (y - x'beta) / sigma, an
     observed entry adds log t_nu(r) - log sigma and a censored one
     log T_nu(r), the t CDF at -x'beta / sigma.
     Returns the log-likelihoods (B,); with ``order`` 1 also the gradients

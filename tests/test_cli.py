@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from implicit_boot.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK,
-                               _read_data, main)
+                               EXIT_SOLVER, _read_data, main)
 from implicit_boot.errors import ConfigError
 from implicit_boot.models import make_model
 from implicit_boot.rng import MasterSeed, Role, StreamKey, derive_seed, \
@@ -80,6 +80,17 @@ def test_plot_subcommand(tmp_path, capsys):
                  "--out", str(out_svg)])
     assert code == EXIT_OK
     assert out_svg.read_text().startswith("<svg")
+
+
+def test_ci_solver_failure_has_its_own_exit_code(tmp_path, capsys):
+    # constant data have no Lomax MLE: the profile score never changes sign
+    cfg = _write_cfg(tmp_path, model="lomax", theta0=[1.0, 1.5],
+                     estimator="lomax_mle", methods=["implicit"])
+    data = tmp_path / "const.csv"
+    data.write_text("1.0\n" * 12)
+    code = main(["ci", "--config", cfg, "--data", str(data)])
+    assert code == EXIT_SOLVER != EXIT_CHECK_FAILED
+    assert "no sign change" in capsys.readouterr().err
 
 
 def test_plot_rejects_malformed_csv(tmp_path, capsys):

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from implicit_boot import engines, exact, matcher
 from implicit_boot.errors import NoZFunction, UnsupportedExample
 from implicit_boot.estimators import (AuxEstimate, CensoredMeanEstimator,
-                                      LomaxMLE, ParetoMLE, SampleMaxEstimator)
+                                      FrechetMLE, LomaxMLE, ParetoMLE,
+                                      SampleMaxEstimator)
 from implicit_boot.matcher import (BoxTransform, InitRule, MatchPath,
                                    MatchResult, SolverConfig,
                                    batched_switched_match, closed_form_match,
@@ -147,13 +148,30 @@ def test_switched_is_cheaper_than_nested_on_the_lomax_model():
     assert np.median(ratios) == 1.0
 
 
+def test_switched_match_reports_an_out_of_region_solution_unconverged():
+    # on this noise block the Newton solution orders the M/G/1 service bounds
+    # the wrong way (theta1 >= theta2); the unchecked batched simulation
+    # accepts it, the scalar call re-estimates on the checked simulation,
+    # which refuses it
+    model, est = make_model("mg1"), FrechetMLE()
+    m = model.noise_dim(100)
+    pi = est.estimate(model.simulate([0.3, 0.9, 1.0], _block(300, m)))
+    star = _block(305, m)
+    thetas, _, _, _ = batched_switched_match(pi, model, est, star.u[None])
+    assert thetas[0, 0] >= thetas[0, 1]
+    res = switched_match(pi, model, est, star)
+    np.testing.assert_array_equal(res.theta_check, thetas[0])
+    assert res.delta == np.inf and not res.converged
+
+
 # ---------------------------------------------------------------- batched path
 
 @pytest.mark.parametrize("block, theta0, near_boundary", [
     pytest.param(220, 0.7, False, id="interior"),
     # some draws' closed form is the boundary 0, and rows whose simulated
     # mean at pi_hat is negative start on the flat part of max(mean, 0) - pi,
-    # where Newton has no direction: the scalar solver takes those rows
+    # where Newton has no direction: the batch restarts them from the box
+    # centre
     pytest.param(223, 0.15, True, id="near-boundary"),
 ])
 def test_andrews_switched_path_is_one_batched_solve(monkeypatch, block, theta0,
@@ -165,25 +183,27 @@ def test_andrews_switched_path_is_one_batched_solve(monkeypatch, block, theta0,
     data = model.simulate([theta0], _block(block, 30))
     pi = est.estimate(data)
     assert pi.pi[0] > 0.0
-    calls = {"batched": 0, "scalar": 0}
-    batched, scalar = engines.batched_switched_match, matcher.switched_match
+    calls = {"batched": 0, "scored": []}
+    batched, batch_deltas = engines.batched_switched_match, matcher._batch_deltas
 
     def counted_batched(*args, **kwargs):
         calls["batched"] += 1
         return batched(*args, **kwargs)
 
-    def counted_scalar(*args, **kwargs):
-        calls["scalar"] += 1
-        return scalar(*args, **kwargs)
+    def recorded(pi_obs, model, est, thetas, V):
+        calls["scored"].append(V.shape[0])
+        return batch_deltas(pi_obs, model, est, thetas, V)
 
+    # the first scoring is the whole batch; each later one, a restart
     monkeypatch.setattr(engines, "batched_switched_match", counted_batched)
-    monkeypatch.setattr(matcher, "switched_match", counted_scalar)
+    monkeypatch.setattr(matcher, "_batch_deltas", recorded)
     B, master = 200, MasterSeed(7)
     sample, _ = engines.implicit_bootstrap(data, model, est, B=B, master=master,
                                            path=MatchPath.SWITCHED,
                                            replicate_id=3)
     assert calls["batched"] == 1
-    assert (calls["scalar"] > 0) == near_boundary
+    assert calls["scored"][0] == B
+    assert (len(calls["scored"]) > 1) == near_boundary
     U = draw_uniforms(derive_seeds(master, 3, Role.BOOT, np.arange(1, B + 1)),
                       30)
     ref = exact.exact_theta_check_batch(
@@ -206,7 +226,8 @@ def test_batched_lomax_matches_scalar_rows():
     for i in range(B):
         if not conv[i]:
             continue
-        ref = switched_match(pi, model, est, RandomBlock(u=U[i]))
+        # an independent solver: derivative-free minimization of the gap
+        ref = nested_match(pi, model, est, RandomBlock(u=U[i]))
         np.testing.assert_allclose(thetas[i], ref.theta_check,
                                    rtol=1e-5, atol=1e-7)
         assert deltas[i] <= 1e-8
@@ -223,26 +244,30 @@ def _criterion6_replicate(m):
 
 
 @pytest.mark.parametrize("m, retried, unconverged", [
-    # row 494's batched iterate has no MLE; the retry rescues it
+    # row 494's batched iterate has no MLE; the restart from the box centre
+    # rescues it
     pytest.param(249, [494], 290, id="rescue-249"),
-    # only ridge rows, which the retry used to walk 158 times
+    # only ridge rows, which a retry of every unsolved row used to walk 158
+    # times
     pytest.param(232, [], 259, id="ridge-232"),
 ])
 def test_scalar_retry_only_for_rows_without_a_re_estimate(monkeypatch, m,
                                                           retried, unconverged):
     pi, model, est, U = _criterion6_replicate(m)
-    blocks = []
-    scalar = matcher.switched_match
+    calls = []
+    batch_deltas = matcher._batch_deltas
 
-    def counted(pi_obs, model, est, w_star, *args, **kwargs):
-        blocks.append(w_star.u)
-        return scalar(pi_obs, model, est, w_star, *args, **kwargs)
+    def recorded(pi_obs, model, est, thetas, V):
+        calls.append(V)
+        return batch_deltas(pi_obs, model, est, thetas, V)
 
-    monkeypatch.setattr(matcher, "switched_match", counted)
+    # the first call scores the whole batch; each later one, a restart
+    monkeypatch.setattr(matcher, "_batch_deltas", recorded)
     with np.errstate(all="ignore"):
         thetas, deltas, conv, _ = batched_switched_match(pi, model, est, U)
-    assert [int(np.flatnonzero((U == u).all(axis=1))[0]) for u in blocks] \
-        == retried
+    assert calls[0] is U
+    assert sorted({int(np.flatnonzero((U == u).all(axis=1))[0])
+                   for V in calls[1:] for u in V}) == retried
     for i in retried:
         assert conv[i] and deltas[i] <= 1e-8
     # ridge rows keep their batched iterate, its finite gap, and the label
@@ -252,8 +277,8 @@ def test_scalar_retry_only_for_rows_without_a_re_estimate(monkeypatch, m,
 
 
 def test_scalar_retry_of_replicate_249_prints_no_warning():
-    # the retry evaluates far-off Lomax candidates whose simulation overflows;
-    # the objective maps the non-finite values to its penalty without a word
+    # row 494 is rescued by a restart from the box centre; neither the batch
+    # nor the restart prints a warning
     pi, model, est, U = _criterion6_replicate(249)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
