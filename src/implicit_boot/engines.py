@@ -262,20 +262,11 @@ def _re_estimates(theta: np.ndarray, model: ModelSpec, est: Estimator,
                   U: np.ndarray):
     """Estimates on datasets simulated at ``theta``, one per noise row of U.
 
-    Rows without an estimate (a raise, or the NaN row a batched estimator
-    returns) are dropped.  Returns (estimates (k, p), dropped).
+    Rows without an estimate (NaN rows of the batched fit) are dropped.
+    Returns (estimates (k, p), dropped).
     """
-    if hasattr(est, "estimate_batch"):
-        batch = model.simulate_batch(np.tile(theta, (U.shape[0], 1)), U)
-        stars = np.asarray(est.estimate_batch(batch), dtype=float)
-    else:
-        stars = []
-        for u in U:
-            try:
-                stars.append(est.estimate(model.simulate(theta, RandomBlock(u=u))).pi)
-            except ImplicitBootError:
-                stars.append(np.full(np.shape(theta), np.nan))
-        stars = np.asarray(stars, dtype=float)
+    batch = model.simulate_batch(np.tile(theta, (U.shape[0], 1)), U)
+    stars = est.estimate_batch(batch)
     good = np.all(np.isfinite(stars), axis=1)
     return stars[good], int(np.sum(~good))
 
@@ -610,24 +601,13 @@ def indirect_inference_correct(data: Dataset, model: ModelSpec,
     seeds = derive_seeds(master, replicate_id, Role.INNER,
                          np.arange(1, H + 1), salt=2)
     U = draw_uniforms(seeds, m)
-    batch = hasattr(est, "estimate_batch")
-
-    def mean_pi(theta):
-        if batch:
-            sim = model.simulate_batch(np.tile(theta, (H, 1)), U)
-            return np.mean(np.asarray(est.estimate_batch(sim), dtype=float),
-                           axis=0)
-        return np.mean([est.estimate(model.simulate(theta, RandomBlock(u=u))).pi
-                        for u in U], axis=0)
-
     transform = BoxTransform(model.box)
 
     def residual(t):
-        theta = transform.to_box(t)
-        try:
-            out = pi_obs.pi - mean_pi(theta)
-        except ImplicitBootError:
-            return np.full(model.p, 1e10)
+        """The gap at unconstrained ``t``; 1e10 where a simulated sample
+        has no estimate."""
+        sim = model.simulate_batch(np.tile(transform.to_box(t), (H, 1)), U)
+        out = pi_obs.pi - np.mean(est.estimate_batch(sim), axis=0)
         return np.where(np.isfinite(out), out, 1e10)
 
     def gap(t):

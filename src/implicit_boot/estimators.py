@@ -1,22 +1,21 @@
 """Initial estimators: deliberately simple, possibly inconsistent.
 
-Each estimator is a pure map ``Dataset -> AuxEstimate``.  Estimators that can
-be written as Z-estimators additionally expose ``z_batch(batch, pi)``, the
-estimating-equation residual of every sample in a batch, which enables the
-switched matching path; ``z(data, pi)`` is the same residual on a batch of
-one.  Estimators with a batched form expose ``estimate_batch(batch)``, the
-(B, p) estimates of a batch with NaN rows for samples without one; the
-engines re-estimate simulated samples through it in one call.  The
-censored-t MLE writes only that form: its ``estimate`` is a batch of one,
-and each row's fit is independent of the rows that share its batch.
+Every estimator writes its fit once, as ``estimate_batch(batch)``: B
+samples in, their (B, p) estimates out, NaN rows for samples without one,
+each row independent of the rows that share its batch.  ``estimate(data)``
+is that fit on a batch of one; only the three closed forms write their own.
+The naive and censored t and the Frechet fits climb by one row-stable
+damped-Newton ascent, :func:`_ascent`.  Z-estimators also expose
+``z_batch(batch, pi)``, the estimating-equation residual of every sample,
+which enables the switched matching path; ``z(data, pi)`` is that residual
+on a batch of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import DegenerateSample, EmptyData, NonConvergence
 from .models import (BatchDataset, Dataset, _censored_t_loglik_grad,
@@ -46,11 +45,9 @@ HUBER_CUTOFF = 2.447746830680816
 
 @dataclass(frozen=True)
 class AuxEstimate:
-    """Value of an initial estimator plus solver diagnostics."""
+    """Value of an initial estimator."""
 
     pi: np.ndarray
-    converged: bool = True
-    iterations: int = 0
 
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=float)
@@ -59,17 +56,32 @@ class AuxEstimate:
 
 
 class Estimator:
-    """Interface: a deterministic estimate, optionally a Z-function.
+    """Interface: a deterministic batched fit, optionally a Z-function.
 
-    A Z-estimator writes its estimating equation once, as ``z_batch``: a
-    :class:`BatchDataset` of B samples and one auxiliary value in, the
-    (B, p) residuals out.  ``z`` is that equation on a batch of one.
+    An estimator writes its fit once, as ``estimate_batch``: a
+    :class:`BatchDataset` of B samples in, the (B, p) estimates out, NaN
+    rows for samples without one.  ``estimate`` is that fit on a batch of
+    one, raising :class:`NonConvergence` on a NaN row.  A Z-estimator writes
+    its estimating equation once, as ``z_batch``: a batch and one auxiliary
+    value in, the (B, p) residuals out.  ``z`` is that equation on a batch
+    of one.
     """
 
     name: str = ""
+    no_fit: str = "no fit for the sample"  # why a NaN row has no estimate
+
+    def estimate_batch(self, batch: BatchDataset) -> np.ndarray:
+        raise NotImplementedError
 
     def estimate(self, data: Dataset) -> AuxEstimate:
-        raise NotImplementedError
+        self._check_size(data)
+        pi = self.estimate_batch(_batch_of_one(data))[0]
+        if not np.all(np.isfinite(pi)):
+            raise NonConvergence(f"{self.name}: {self.no_fit}")
+        return AuxEstimate(pi=pi)
+
+    def _check_size(self, data: Dataset) -> None:
+        """Raise when ``data`` is too small for any fit."""
 
     def z_batch(self, batch: BatchDataset, pi: np.ndarray) -> np.ndarray:
         raise NotImplementedError(f"{self.name} has no Z-function")
@@ -215,29 +227,12 @@ class LomaxMLE(Estimator):
 
     The shape score gives q(b) = 1 / mean(log(1 + y/b)); the remaining
     one-dimensional equation (q(b) + 1) * mean(y / (b + y)) = 1 is solved on
-    log b inside the first sign change along a fixed grid: by Brent's method
-    for one sample, by Illinois regula falsi for a batch.
+    log b by Illinois regula falsi inside the first sign change along a
+    fixed grid.
     """
 
     name = "lomax_mle"
-
-    def estimate(self, data):
-        y = data.y
-        if data.n < 2:
-            raise NonConvergence("Lomax MLE is not identified from a single point")
-        Y = y[None, :]
-        lo, hi, _, _ = _lomax_bracket(Y)
-        if np.isnan(lo[0]):
-            raise NonConvergence("no sign change for the Lomax profile score")
-
-        def phi(log_b):
-            return float(_lomax_profile_score(Y, np.array([log_b]))[0])
-
-        log_b, res = optimize.brentq(phi, lo[0], hi[0], xtol=1e-14, rtol=1e-15,
-                                     full_output=True)
-        b = np.array([[np.exp(log_b)]])
-        return AuxEstimate(pi=np.array([b[0, 0], _lomax_profile_shape(Y, b)[0]]),
-                           converged=res.converged, iterations=res.iterations)
+    no_fit = "no sign change for the Lomax profile score"
 
     def z_batch(self, batch, pi):
         b, q = np.asarray(pi, dtype=float)
@@ -247,14 +242,14 @@ class LomaxMLE(Estimator):
         return np.column_stack([s_b, s_q])
 
     def estimate_batch(self, batch):
-        """Row-wise MLE: the scalar path's bracket, then Illinois steps.
+        """Row-wise MLE: the grid's bracket, then Illinois steps.
 
         Illinois regula falsi keeps the bracket and converges superlinearly,
         in 10-20 steps from the grid's bracket, where bisection took 60.
-        Each step evaluates only the rows not yet within the scalar path's
-        tolerance, so a row's result does not depend on the rest of the
-        batch.  Rows whose profile score has no root (the MLE does not exist
-        for the sample) come back as NaN, mirroring the scalar path's raise.
+        Each step evaluates only the rows not yet within 1e-14 in log b, so
+        a row's result does not depend on the rest of the batch.  Rows whose
+        profile score has no root (the MLE does not exist for the sample)
+        come back as NaN.
         """
         y = batch.y
         a, c, f_a, f_c = _lomax_bracket(y)
@@ -277,6 +272,10 @@ class LomaxMLE(Estimator):
                                     f_c[more])
         b = np.exp(log_b)[:, None]
         return np.hstack([b, _lomax_profile_shape(y, b)[:, None]])
+
+
+# forward-difference step in log (b, q) of the weighted fit's Jacobian
+_WMLE_STEP = 1e-7
 
 
 class LomaxNaiveWMLE(Estimator):
@@ -303,83 +302,218 @@ class LomaxNaiveWMLE(Estimator):
             return np.minimum(1.0, self.cutoff / norms)
 
     def z_batch(self, batch, pi):
-        b, q = np.asarray(pi, dtype=float)
+        """The weighted score of each sample at ``pi``, one (p,) value for
+        every row or one (B, p) row per sample."""
+        P = np.atleast_2d(np.asarray(pi, dtype=float))
+        b, q = P[:, :1], P[:, 1:]
         y = batch.y
         s_b = (q + 1.0) * y / (b * b + b * y) - 1.0 / b
         s_q = 1.0 / q - np.log1p(y / b)
-        info = lomax_fisher_information(b, q)
+        info = np.moveaxis(lomax_fisher_information(b[:, 0], q[:, 0]), -1, 0)
         vals, vecs = np.linalg.eigh(info)
-        R = vecs @ np.diag(vals ** -0.5) @ vecs.T
-        zb = R[0, 0] * s_b + R[0, 1] * s_q
-        zq = R[1, 0] * s_b + R[1, 1] * s_q
+        R = (vecs * vals[:, None, :] ** -0.5) @ vecs.transpose(0, 2, 1)
+        zb = R[:, 0, :1] * s_b + R[:, 0, 1:] * s_q
+        zq = R[:, 1, :1] * s_b + R[:, 1, 1:] * s_q
         norms = np.hypot(zb, zq)
         w = np.minimum(1.0, self.cutoff / norms)
         return np.column_stack([np.mean(w * s_b, axis=1), np.mean(w * s_q, axis=1)])
 
-    def estimate(self, data):
-        init = LomaxMLE().estimate(data).pi
-        evals = 0
+    def estimate_batch(self, batch):
+        """Row-wise Newton on log (b, q), started from the Lomax MLE.
 
-        def eq(t):
-            nonlocal evals
-            evals += 1
-            b, q = np.exp(t)
-            return self.z(data, (b, q))
+        The Jacobian is a forward difference of ``z_batch``; a step is
+        halved until the residual norm falls, and a row stops once its step
+        moves log (b, q) by at most 1e-12 or the norm cannot fall.  Rows
+        whose residual stays above 1e-8 (or whose MLE start does not exist)
+        come back as NaN.
+        """
+        y = batch.y
+        t = np.log(LomaxMLE().estimate_batch(batch))
 
-        sol = optimize.root(eq, np.log(init), method="hybr", tol=1e-12)
-        pi = np.exp(sol.x)
-        resid = float(np.linalg.norm(self.z(data, pi)))
-        if resid > 1e-8:
-            raise NonConvergence(f"weighted score residual {resid:.2e}")
-        return AuxEstimate(pi=pi, converged=True, iterations=evals)
+        def z(tt, rows):
+            with np.errstate(all="ignore"):
+                out = self.z_batch(BatchDataset(y=y[rows]), np.exp(tt))
+            return np.where(np.isfinite(out), out, np.inf)
+
+        rows = np.flatnonzero(np.all(np.isfinite(t), axis=1))
+        f = z(t[rows], rows)
+        resid = np.full(y.shape[0], np.inf)
+        resid[rows] = np.linalg.norm(f, axis=1)
+        for _ in range(50):  # 4-8 steps from the MLE
+            if rows.size == 0:
+                break
+            # dx = -J^-1 f, with J[j] the forward difference along log (b, q)_j
+            J = [(z(t[rows] + e, rows) - f) / _WMLE_STEP
+                 for e in _WMLE_STEP * np.eye(2)]
+            det = J[0][:, 0] * J[1][:, 1] - J[1][:, 0] * J[0][:, 1]
+            dx = np.column_stack([J[1][:, 0] * f[:, 1] - J[1][:, 1] * f[:, 0],
+                                  J[0][:, 1] * f[:, 0] - J[0][:, 0] * f[:, 1]])
+            dx /= det[:, None]
+            finite = np.all(np.isfinite(dx), axis=1)
+            step, search = np.ones(rows.size), finite.copy()
+            for _ in range(30):
+                i = np.flatnonzero(search)
+                if i.size == 0:
+                    break
+                trial = t[rows[i]] + step[i, None] * dx[i]
+                f_t = z(trial, rows[i])
+                n_t = np.linalg.norm(f_t, axis=1)
+                ok = n_t < resid[rows[i]]
+                j = i[ok]
+                t[rows[j]], f[j], resid[rows[j]] = trial[ok], f_t[ok], n_t[ok]
+                search[j] = False
+                step[i[~ok]] *= 0.5
+            more = (finite & ~search
+                    & (np.max(np.abs(step[:, None] * dx), axis=1) > 1e-12))
+            rows, f = rows[more], f[more]
+        t[resid > 1e-8] = np.nan
+        return np.exp(t)
+
+_FIT_ROWS = 64  # rows per ascent: bounds the working set, not the fits
 
 
-def _t_reg_loglik_grad(theta: np.ndarray, y: np.ndarray, X: np.ndarray):
-    """Log-likelihood and gradient of the (uncensored) t regression in the
-    natural parameterization theta = (beta..., sigma, nu): row 0 of the
-    censored form with every response observed."""
-    ll, g = _censored_t_loglik_grad(theta[None], y[None], X,
-                                    np.ones((1, y.shape[0]), dtype=bool))
-    return float(ll[0]), g[0]
+def _ascent(f, t, lo, hi, capped):
+    """Maximize a row-wise objective by damped Newton, row by row.
+
+    ``f(t, rows, order)`` scores problems ``rows`` at points ``t`` (one per
+    row) in the ascent's coordinates: the objective (B,) at ``order`` 0,
+    with its gradient (B, d) and Hessian (B, d, d) at ``order`` 2.  Rows of
+    ``t`` are starts; coordinate j stays in [lo[j], hi[j]] (infinite when
+    free), held at a bound its gradient points out of.  Each iteration takes
+    a Newton step with the Hessian's eigenvalues replaced by their absolute
+    values, so the step ascends, scales it down until the ``capped``
+    coordinates (those that enter an exp()) move by at most 2, and halves it
+    until the objective rises enough (Armijo).  A row stops once its
+    predicted gain is below 1e-10, after one last full step.  Converged rows
+    are frozen and no quantity mixes rows, so a row's fit does not depend on
+    its batch.  Returns the fits, NaN for rows that did not converge.
+    """
+    B, d = t.shape
+    t = np.clip(t, lo, hi)
+    active = np.all(np.isfinite(t), axis=1)
+    converged = np.zeros(B, dtype=bool)
+    diag = np.arange(d)
+    for _ in range(50):  # 5-15 iterations from the usual starts
+        rows = np.nonzero(active)[0]
+        if rows.size == 0:
+            break
+        ta = t[rows]
+        ll, g, H = f(ta, rows, 2)
+        held = ((ta >= hi) & (g > 0.0)) | ((ta <= lo) & (g < 0.0))
+        g[held] = 0.0
+        H[held[:, :, None] | held[:, None, :]] = 0.0
+        H[:, diag, diag] = np.where(held, -1.0, H[:, diag, diag])
+        bad = ~(np.isfinite(ll) & np.all(np.isfinite(H), axis=(1, 2)))
+        H[bad] = -np.eye(d)
+        w, V = np.linalg.eigh(-H)
+        w = np.abs(w)
+        w = np.maximum(w, 1e-12 * np.max(w, axis=1, keepdims=True))
+        c = np.sum(np.ascontiguousarray(V.transpose(0, 2, 1)) * g[:, None, :],
+                   axis=2) / w
+        dx = np.sum(V * c[:, None, :], axis=2)
+        gain = np.sum(c * c * w, axis=1)
+        big = np.max(np.abs(dx[:, capped]), axis=1)  # keeps exp() of the trial finite
+        cap = np.where(big > 2.0, 2.0 / np.maximum(big, 1e-300), 1.0)
+        dx *= cap[:, None]
+        slope = cap * gain  # the objective's derivative along dx
+
+        # rows whose predicted gain is negligible take the full step and
+        # stop; the others halve theirs until the Armijo condition holds
+        step = np.ones(rows.size)
+        search = ~bad & (gain > 1e-10)
+        for _ in range(40):
+            if not search.any():
+                break
+            i = np.nonzero(search)[0]
+            trial = np.clip(ta[i] + step[i, None] * dx[i], lo, hi)
+            ok = f(trial, rows[i], 0) >= ll[i] + 1e-4 * step[i] * slope[i]
+            search[i[ok]] = False
+            step[i[~ok]] *= 0.5
+        stuck = search  # no acceptable step: no fit for the row
+        new = np.clip(ta + step[:, None] * dx, lo, hi)
+        t[rows] = np.where((bad | stuck)[:, None], np.nan, new)
+        done = ~bad & ~stuck & (gain <= 1e-10)
+        converged[rows[done]] = True
+        active[rows[bad | stuck | done]] = False
+    t[~converged] = np.nan
+    return t
+
+
+_LOG_NU_BOUNDS = (np.log(0.3), np.log(100.0))
+
+
+def _t_natural(t: np.ndarray, k: int) -> np.ndarray:
+    """Rows (beta, log sigma, log nu) -> (beta, sigma, nu)."""
+    theta = t.copy()
+    theta[:, k:] = np.exp(t[:, k:])
+    return theta
+
+
+def _t_loglik(Y, X, observed):
+    """The censored t-regression log-likelihood of the rows of Y as an
+    :func:`_ascent` objective in (beta, log sigma, log nu)."""
+    k = X.shape[1]
+
+    def f(t, rows, order):
+        theta = _t_natural(t, k)
+        if order == 0:
+            return _censored_t_loglik_grad(theta, Y[rows], X, observed[rows],
+                                           order=0)
+        ll, g, H = _censored_t_loglik_grad(theta, Y[rows], X, observed[rows],
+                                           order=2)
+        jac = np.ones_like(theta)
+        jac[:, k:] = theta[:, k:]
+        g = g * jac
+        H = H * jac[:, :, None] * jac[:, None, :]
+        H[:, k, k] += g[:, k]
+        H[:, k + 1, k + 1] += g[:, k + 1]
+        return ll, g, H
+    return f
+
+
+def _t_fits(Y, X, observed=None):
+    """t-regression fits of the rows of Y in (beta, log sigma, log nu).
+
+    The naive fit takes every response as observed and climbs from least
+    squares (log nu from log 5); given ``observed``, the censored fit then
+    climbs from it.  log nu stays in [log 0.3, log 100].  NaN rows mark
+    samples without a fit, and every row when n <= k + 2.
+    """
+    k = X.shape[1]
+    beta = np.einsum("kn,bn->bk", np.linalg.pinv(X), Y)
+    s = np.maximum(np.std(Y - _linear_predictor(beta, X), axis=1), 1e-3)
+    t = np.column_stack([beta, np.log(s), np.full(Y.shape[0], np.log(5.0))])
+    if Y.shape[1] <= k + 2:
+        t[:] = np.nan
+    lo, hi = np.full(k + 2, -np.inf), np.full(k + 2, np.inf)
+    lo[k + 1], hi[k + 1] = _LOG_NU_BOUNDS
+    for i in range(0, Y.shape[0], _FIT_ROWS):
+        rows = slice(i, i + _FIT_ROWS)
+        Yr = Y[rows]
+        t[rows] = _ascent(_t_loglik(Yr, X, np.ones(Yr.shape, dtype=bool)),
+                          t[rows], lo, hi, slice(k, None))
+        if observed is not None:
+            t[rows] = _ascent(_t_loglik(Yr, X, observed[rows]), t[rows], lo,
+                              hi, slice(k, None))
+    return t
 
 
 class StudentTNaiveMLE(Estimator):
     """MLE of the uncensored t regression applied to censored data as-is.
 
     Censored responses (stored zeros) are treated as exact observations.
-    Optimization runs over (beta, log sigma, log nu) with log nu boxed to
-    [log 0.3, log 100].
+    The fit climbs from least squares over (beta, log sigma, log nu) with
+    log nu boxed to [log 0.3, log 100] (see :func:`_t_fits`).
     """
 
     name = "student_t_naive_mle"
 
-    def estimate(self, data):
-        y, X = data.y, data.X
-        k = X.shape[1]
-        if y.shape[0] <= k + 2:
+    def _check_size(self, data):
+        if data.n <= data.X.shape[1] + 2:
             raise EmptyData("too few rows for the t regression MLE")
-        beta0, *_ = np.linalg.lstsq(X, y, rcond=None)
-        resid = y - X @ beta0
-        s0 = max(float(np.std(resid)), 1e-3)
-        x0 = np.concatenate([beta0, [np.log(s0), np.log(5.0)]])
-        evals = 0
 
-        def negloglik(t):
-            nonlocal evals
-            evals += 1
-            theta = np.concatenate([t[:k], np.exp(t[k:])])
-            ll, g = _t_reg_loglik_grad(theta, y, X)
-            return -ll, -np.concatenate([g[:k], g[k:] * theta[k:]])
-
-        bounds = [(None, None)] * k + [(None, None), (np.log(0.3), np.log(100.0))]
-        res = optimize.minimize(negloglik, x0, jac=True, method="L-BFGS-B",
-                                bounds=bounds,
-                                options={"maxiter": 2000, "ftol": 1e-14, "gtol": 1e-9})
-        theta = np.concatenate([res.x[:k], np.exp(res.x[k:])])
-        at_edge = res.x[k + 1] <= np.log(0.3) + 1e-9 or res.x[k + 1] >= np.log(100.0) - 1e-9
-        if not res.success and not at_edge:
-            raise NonConvergence(f"t regression MLE: {res.message}")
-        return AuxEstimate(pi=theta, converged=not at_edge, iterations=evals)
+    def estimate_batch(self, batch):
+        return _t_natural(_t_fits(batch.y, batch.X), batch.X.shape[1])
 
     def z_batch(self, batch, pi):
         # the censored score with every response observed, at one pi for
@@ -390,112 +524,14 @@ class StudentTNaiveMLE(Estimator):
                                        np.ones(y.shape, dtype=bool))[1] / y.shape[1]
 
 
-_LOG_NU_BOUNDS = (np.log(0.3), np.log(100.0))
-_FIT_ROWS = 64  # rows of Y per censored-t solve
-
-
-def _t_natural(t: np.ndarray, k: int) -> np.ndarray:
-    """Rows (beta, log sigma, log nu) -> (beta, sigma, nu)."""
-    theta = t.copy()
-    theta[:, k:] = np.exp(t[:, k:])
-    return theta
-
-
-def _t_ascent(Y, X, observed, t):
-    """Maximize the censored t-regression log-likelihood of each row of Y.
-
-    Rows of ``t`` are starts in (beta, log sigma, log nu); log nu stays in
-    [log 0.3, log 100].  Each iteration takes a Newton step with the
-    Hessian's eigenvalues replaced by their absolute values, so the step
-    always ascends, and halves it until the log-likelihood rises enough
-    (Armijo).  A coordinate log nu at a bound whose gradient points out of
-    the box is held there.  A row stops once its predicted gain is below
-    1e-10, after one last full step.  Converged rows are frozen, and no
-    quantity mixes rows, so a row's fit does not depend on its batch.
-    Returns the fits in the same coordinates, NaN for rows that did not
-    converge.
-    """
-    B, k = t.shape[0], X.shape[1]
-    lo, hi = _LOG_NU_BOUNDS
-    t = t.copy()
-    t[:, k + 1] = np.clip(t[:, k + 1], lo, hi)
-    active = np.all(np.isfinite(t), axis=1)
-    converged = np.zeros(B, dtype=bool)
-
-    def loglik(tt, rows):
-        return _censored_t_loglik_grad(_t_natural(tt, k), Y[rows], X,
-                                       observed[rows], order=0)
-
-    for _ in range(50):  # 5-15 iterations from the usual starts
-        rows = np.nonzero(active)[0]
-        if rows.size == 0:
-            break
-        ta = t[rows]
-        theta = _t_natural(ta, k)
-        ll, g, H = _censored_t_loglik_grad(theta, Y[rows], X, observed[rows],
-                                           order=2)
-        # to (beta, log sigma, log nu)
-        jac = np.ones_like(theta)
-        jac[:, k:] = theta[:, k:]
-        g = g * jac
-        H = H * jac[:, :, None] * jac[:, None, :]
-        H[:, k, k] += g[:, k]
-        H[:, k + 1, k + 1] += g[:, k + 1]
-        m = ta[:, k + 1]
-        held = ((m >= hi) & (g[:, k + 1] > 0.0)) | ((m <= lo) & (g[:, k + 1] < 0.0))
-        g[held, k + 1] = 0.0
-        H[held, k + 1, :] = 0.0
-        H[held, :, k + 1] = 0.0
-        H[held, k + 1, k + 1] = -1.0
-        bad = ~(np.isfinite(ll) & np.all(np.isfinite(H), axis=(1, 2)))
-        H[bad] = -np.eye(k + 2)
-        w, V = np.linalg.eigh(-H)
-        w = np.abs(w)
-        w = np.maximum(w, 1e-12 * np.max(w, axis=1, keepdims=True))
-        c = np.sum(np.ascontiguousarray(V.transpose(0, 2, 1)) * g[:, None, :],
-                   axis=2) / w
-        dx = np.sum(V * c[:, None, :], axis=2)
-        gain = np.sum(c * c * w, axis=1)
-        big = np.max(np.abs(dx[:, k:]), axis=1)  # keeps exp() of the trial finite
-        cap = np.where(big > 2.0, 2.0 / np.maximum(big, 1e-300), 1.0)
-        dx *= cap[:, None]
-        slope = cap * gain  # the log-likelihood's derivative along dx
-
-        # rows whose predicted gain is negligible take the full step and
-        # stop; the others halve theirs until the Armijo condition holds
-        step = np.ones(rows.size)
-        search = ~bad & (gain > 1e-10)
-        for _ in range(40):
-            if not search.any():
-                break
-            i = np.nonzero(search)[0]
-            trial = ta[i] + step[i, None] * dx[i]
-            trial[:, k + 1] = np.clip(trial[:, k + 1], lo, hi)
-            ok = loglik(trial, rows[i]) >= ll[i] + 1e-4 * step[i] * slope[i]
-            search[i[ok]] = False
-            step[i[~ok]] *= 0.5
-        stuck = search  # no acceptable step: no fit for the row
-        new = ta + step[:, None] * dx
-        new[:, k + 1] = np.clip(new[:, k + 1], lo, hi)
-        t[rows] = np.where((bad | stuck)[:, None], np.nan, new)
-        done = ~bad & ~stuck & (gain <= 1e-10)
-        converged[rows[done]] = True
-        active[rows[bad | stuck | done]] = False
-    t[~converged] = np.nan
-    return t
-
-
 class StudentTCensoredMLE(Estimator):
     """Direct maximizer of the censored t-regression likelihood.
 
     The consistent comparator used by the baseline CI methods.  Each fit
-    starts from the naive t fit (the same ascent with every response taken
-    as observed, from least squares), then climbs the censored
-    log-likelihood by damped Newton with its analytic gradient and Hessian
-    (see :func:`_t_ascent`).  ``estimate_batch`` fits the samples of a
-    batch together, NaN rows marking samples without a fit; ``estimate`` is
-    that fit on a batch of one and raises instead of returning NaN.
-    Fits are clamped 1e-9 of the box width inside the box.
+    starts from the naive t fit, then climbs the censored log-likelihood by
+    damped Newton with its analytic gradient and Hessian (see
+    :func:`_t_fits`).  Fits are clamped 1e-9 of the box width inside the
+    box.
     """
 
     name = "student_t_censored_mle"
@@ -503,107 +539,106 @@ class StudentTCensoredMLE(Estimator):
     def __init__(self, model):
         self.model = model
 
-    def estimate(self, data):
-        theta = self.estimate_batch(_batch_of_one(data))[0]
-        if not np.all(np.isfinite(theta)):
-            raise NonConvergence("censored t-regression MLE did not converge")
-        return AuxEstimate(pi=theta)
-
     def estimate_batch(self, batch):
-        Y, X = batch.y, batch.X
-        k = X.shape[1]
+        Y = batch.y
         observed = (batch.censored if batch.censored is not None
                     else (Y > 0.0).astype(float)) > 0.5
-        beta = np.einsum("kn,bn->bk", np.linalg.pinv(X), Y)
-        s = np.maximum(np.std(Y - _linear_predictor(beta, X), axis=1), 1e-3)
-        t = np.column_stack([beta, np.log(s), np.full(Y.shape[0], np.log(5.0))])
-        if Y.shape[1] <= k + 2:
-            t[:] = np.nan
-        # the fits are row by row, so blocks of rows give the same fits;
-        # they bound the working set, which grows with the rows of a solve
-        for i in range(0, Y.shape[0], _FIT_ROWS):
-            rows = slice(i, i + _FIT_ROWS)
-            naive = _t_ascent(Y[rows], X, np.ones(Y[rows].shape, dtype=bool),
-                              t[rows])
-            t[rows] = _t_ascent(Y[rows], X, observed[rows], naive)
-        return self.model.box.clamp(_t_natural(t, k), margin=1e-9)
+        t = _t_fits(Y, batch.X, observed)
+        return self.model.box.clamp(_t_natural(t, batch.X.shape[1]),
+                                    margin=1e-9)
 
 
-def _frechet_loglik_grad(theta: np.ndarray, y: np.ndarray):
-    m, s, a = theta
-    if s <= 0.0 or a <= 0.0:
-        return -np.inf, np.zeros(3)
-    z = (y - m) / s
-    if np.any(z <= 0.0):
-        return -np.inf, np.zeros(3)
-    with np.errstate(over="ignore", invalid="ignore"):
-        logz = np.log(z)
-        za = z ** -a
-        ll = float(np.sum(np.log(a / s) - (1.0 + a) * logz - za))
-        g_m = float(np.sum((1.0 + a) / z - a * z ** (-a - 1.0)) / s)
-        g_s = float(np.sum(a * (1.0 - za)) / s)
-        g_a = float(np.sum(1.0 / a - logz + za * logz))
-    if not np.isfinite(ll):
-        return -np.inf, np.zeros(3)
-    return ll, np.array([g_m, g_s, g_a])
+def _frechet_loglik(D, gap, s, a, order):
+    """Frechet log-likelihood of each row of D = y - m (B, n), whose
+    location m sits ``gap`` below the row minimum, at scale ``s`` and shape
+    ``a`` (each (B, 1)).  With ``order`` 1 also the gradient, with 2 also the
+    Hessian, both in (log gap, log s, log a).
+    """
+    n = D.shape[1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        L = np.log(D / s)  # log z
+        w = np.exp(-a * L)  # z^-a
+        a = a[:, 0]
+        S_L, S_w = np.sum(L, axis=1), np.sum(w, axis=1)
+        ll = n * np.log(a / s[:, 0]) - (1.0 + a) * S_L - S_w
+        if order == 0:
+            return ll
+        r = gap / D  # d log z / d log gap
+        wr = w * r
+        S_r, S_wr, S_wL = np.sum(r, axis=1), np.sum(wr, axis=1), np.sum(w * L, axis=1)
+        g = np.column_stack([a * S_wr - (1.0 + a) * S_r, a * (n - S_w),
+                             n - a * S_L + a * S_wL])
+        if order == 1:
+            return ll, g
+        a2 = a * a
+        rr = r * (1.0 - r)
+        H = np.empty((D.shape[0], 3, 3))
+        H[:, 0, 0] = (a * np.sum(w * rr, axis=1) - (1.0 + a) * np.sum(rr, axis=1)
+                      - a2 * np.sum(wr * r, axis=1))
+        H[:, 0, 1] = H[:, 1, 0] = a2 * S_wr
+        H[:, 0, 2] = H[:, 2, 0] = a * (S_wr - S_r) - a2 * np.sum(wr * L, axis=1)
+        H[:, 1, 1] = -a2 * S_w
+        H[:, 1, 2] = H[:, 2, 1] = g[:, 1] + a2 * S_wL
+        H[:, 2, 2] = a * (S_wL - S_L) - a2 * np.sum(w * L * L, axis=1)
+    return ll, g, H
+
+
+# the Frechet fit's starts for the location gap below y_(1), in sample sds;
+# a sample keeps the first start of the highest likelihood
+_FRECHET_GAPS = np.array([0.5, 0.1, 2.0])
 
 
 class FrechetMLE(Estimator):
     """MLE of the three-parameter (location-scale-shape) Frechet density.
 
     Location is kept strictly below y_(1) via the reparameterization
-    m = y_(1) - exp(t); scale and shape are optimized on the log scale.
+    m = y_(1) - exp(t); the fit climbs over (t, log s, log a) by
+    :func:`_ascent` from three location gaps, at scale sd(y) and shape 1.
     """
 
     name = "frechet_mle"
 
-    def estimate(self, data):
-        y = data.y
+    def _check_size(self, data):
         if data.n < 4:
             raise EmptyData("Frechet MLE needs n >= 4")
-        ymin = float(np.min(y))
-        spread = max(float(np.std(y)), 1e-6)
-        evals = 0
 
-        def unpack(t):
-            return np.array([ymin - np.exp(t[0]), np.exp(t[1]), np.exp(t[2])])
+    def estimate_batch(self, batch):
+        fits = np.full((batch.y.shape[0], 3), np.nan)
+        if batch.y.shape[1] < 4:
+            return fits
+        free = np.full(3, np.inf)
+        for i in range(0, fits.shape[0], _FIT_ROWS):
+            Y = batch.y[i:i + _FIT_ROWS]
+            ymin = np.min(Y, axis=1, keepdims=True)
+            # one ascent row per sample and start
+            excess = np.repeat(Y - ymin, _FRECHET_GAPS.size, axis=0)
+            sd = np.repeat(np.maximum(np.std(Y, axis=1), 1e-6), _FRECHET_GAPS.size)
+            t = np.log(np.column_stack([np.resize(_FRECHET_GAPS, sd.size) * sd,
+                                        sd, np.ones(sd.size)]))
 
-        def negloglik(t):
-            nonlocal evals
-            evals += 1
-            theta = unpack(t)
-            ll, g = _frechet_loglik_grad(theta, y)
-            if not np.isfinite(ll):
-                return 1e12, np.zeros(3)
-            jac = np.array([-np.exp(t[0]), theta[1], theta[2]])
-            return -ll, -g * jac
+            def f(t, rows, order):
+                e = np.exp(t)
+                return _frechet_loglik(excess[rows] + e[:, :1], e[:, :1],
+                                       e[:, 1:2], e[:, 2:], order)
 
-        best = None
-        for gap in (0.5 * spread, 0.1 * spread, 2.0 * spread):
-            x0 = np.array([np.log(gap), np.log(spread), 0.0])
-            res = optimize.minimize(negloglik, x0, jac=True, method="L-BFGS-B",
-                                    options={"maxiter": 2000, "ftol": 1e-14,
-                                             "gtol": 1e-10})
-            if best is None or res.fun < best.fun:
-                best = res
-        theta = unpack(best.x)
-        grad_norm = float(np.linalg.norm(_frechet_loglik_grad(theta, y)[1]))
-        if grad_norm > 1e-4 * data.n:
-            raise NonConvergence(f"Frechet MLE gradient norm {grad_norm:.2e}")
-        return AuxEstimate(pi=theta, converged=True, iterations=evals)
+            t = _ascent(f, t, -free, free, slice(None))
+            ll = f(t, np.arange(sd.size), 0).reshape(len(Y), -1)
+            best = np.argmax(np.where(np.isnan(ll), -np.inf, ll), axis=1)
+            t = t.reshape(len(Y), -1, 3)[np.arange(len(Y)), best]
+            fits[i:i + _FIT_ROWS] = np.column_stack(
+                [ymin[:, 0] - np.exp(t[:, 0]), np.exp(t[:, 1:])])
+        return fits
 
     def z_batch(self, batch, pi):
         m, s, a = np.asarray(pi, dtype=float)
         y = batch.y
-        n = y.shape[1]
-        bad = np.min(y, axis=1) <= m
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            z = np.where(bad[:, None], 1.0, (y - m) / s)
-            logz = np.log(z)
-            za = z ** -a
-            g_m = np.sum((1.0 + a) / z - a * z ** (-a - 1.0), axis=1) / s
-            g_s = np.sum(a * (1.0 - za), axis=1) / s
-            g_a = np.sum(1.0 / a - logz + za * logz, axis=1)
-        out = np.column_stack([g_m, g_s, g_a]) / n
+        gap = np.min(y, axis=1, keepdims=True) - m
+        bad = gap[:, 0] <= 0.0
+        gap[bad] = 1.0
+        D = np.where(bad[:, None], 1.0, y - m)
+        ones = np.ones_like(gap)
+        _, g = _frechet_loglik(D, gap, s * ones, a * ones, 1)
+        # to (m, s, a): d log gap / dm = -1 / gap
+        out = g / np.column_stack([-gap, s * ones, a * ones]) / y.shape[1]
         out[bad | ~np.all(np.isfinite(out), axis=1)] = 1e6
         return out

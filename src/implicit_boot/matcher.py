@@ -12,7 +12,8 @@ Three routes return a :class:`MatchResult`:
 
 ``batched_switched_match`` solves the switched problems of all B noise
 blocks of a replicate together, through the model's ``simulate_batch`` and
-the estimator's ``z_batch``; it is the one switched solver.
+the estimator's ``z_batch``, and scores each draw by its auxiliary-estimate
+gap, re-estimated by ``estimate_batch``; it is the one switched solver.
 
 All candidate evaluations inside one solve reuse the same noise block, so the
 objective is a deterministic function of the parameter.
@@ -367,31 +368,9 @@ def batched_switched_match(pi_obs: AuxEstimate, model: ModelSpec, est: Estimator
 
 
 def _batch_deltas(pi_obs, model, est, thetas, U):
-    """Matching residuals for a batch of solved draws.
-
-    Uses the batched re-estimate when available; otherwise a first-order
-    residual through the finite-difference sensitivity of the Z-function in
-    its auxiliary argument (exact in the limit of a solved equation).
-    """
+    """Matching residuals for a batch of solved draws: the norm of the gap
+    between the observed auxiliary estimate and the re-estimate on each
+    draw's simulated sample, inf where that sample has no estimate."""
     sim = model.simulate_batch(thetas, U)
-    if hasattr(est, "estimate_batch"):
-        pi_star = np.asarray(est.estimate_batch(sim), dtype=float)
-        gaps = np.linalg.norm(pi_star - pi_obs.pi, axis=1)
-        return np.where(np.isfinite(gaps), gaps, np.inf)
-    pi = pi_obs.pi
-    p = pi.shape[0]
-    z0 = np.asarray(est.z_batch(sim, pi), dtype=float)
-    h = 1e-6
-    G = np.empty((U.shape[0], p, p))
-    for j in range(p):
-        pj = pi.copy()
-        pj[j] += h * (1.0 + abs(pj[j]))
-        G[:, :, j] = (np.asarray(est.z_batch(sim, pj), dtype=float) - z0) \
-            / (h * (1.0 + abs(pi[j])))
-    try:
-        gap = np.linalg.solve(G, z0[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        gap = np.stack([np.linalg.lstsq(G[i], z0[i], rcond=None)[0]
-                        for i in range(U.shape[0])])
-    gap = np.where(np.isfinite(gap), gap, np.inf)
-    return np.linalg.norm(gap, axis=1)
+    gaps = np.linalg.norm(est.estimate_batch(sim) - pi_obs.pi, axis=1)
+    return np.where(np.isfinite(gaps), gaps, np.inf)

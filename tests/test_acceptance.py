@@ -1,11 +1,12 @@
 """End-to-end acceptance checks, one test per criterion.
 
-Criteria 1-6 and 9-11 run by default (the full suite takes roughly fifteen
-minutes, dominated by the Lomax coverage experiment).  Criteria 7 and 8 are
-multi-hour Monte Carlo runs and sit behind ``-m slow``.
+Criteria 1-6 and 9-11 run by default (the full suite takes about six
+minutes on 2 cores, dominated by the Lomax coverage experiment).  Criteria
+7 and 8 are multi-hour Monte Carlo runs and sit behind ``-m slow``.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from implicit_boot.errors import NonConvergence
 from implicit_boot.estimators import (CensoredMeanEstimator, FrechetMLE,
                                       LomaxMLE, LomaxNaiveWMLE, ParetoMLE,
                                       SampleMaxEstimator, StudentTNaiveMLE)
-from implicit_boot.harness import (ScenarioConfig, run_bench, run_coverage,
-                                   run_exact_check)
+from implicit_boot.harness import (ScenarioConfig, _replicate_stats,
+                                   run_bench, run_coverage, run_exact_check,
+                                   setup)
 from implicit_boot.matcher import (InitRule, SolverConfig, closed_form_match,
                                    nested_match, switched_match)
 from implicit_boot.models import make_model
@@ -166,21 +168,39 @@ def test_criterion_06_lomax_coverage_and_survival():
 
 # -------------------------------------------------------------- criteria 7-8
 
+CRITERION7 = ScenarioConfig(
+    scenario="tobit", model="student_t_censored",
+    theta0=(4.0, -1.0, 1.5, -0.5, -1.5, 1.4142135623730951, 2.0),
+    n=100, estimator="t_naive_mle", baseline_estimator="t_censored_mle",
+    psi="component:1", methods=("implicit", "percentile", "asymptotic"),
+    alphas=(0.95,), match_path="switched", M=1000, B=200, master_seed=0)
+
+
 @pytest.mark.slow
 def test_criterion_07_censored_t_regression_coverage():
-    cfg = ScenarioConfig(
-        scenario="tobit", model="student_t_censored",
-        theta0=(4.0, -1.0, 1.5, -0.5, -1.5, 1.4142135623730951, 2.0),
-        n=100, estimator="t_naive_mle", baseline_estimator="t_censored_mle",
-        psi="component:1", methods=("implicit", "percentile", "asymptotic"),
-        alphas=(0.95,), match_path="switched", M=1000, B=200, master_seed=0)
-    recs, _ = run_coverage(cfg)
+    recs, _ = run_coverage(CRITERION7)
     cov = {r.method: r.coverage for r in recs}
     assert _within(cov["implicit"], 0.939, 0.02), \
         f"implicit coverage {cov['implicit']:.4f}"
     gaps = [abs(cov[m] - 0.95)
             for m in ("implicit", "percentile", "asymptotic")]
     assert gaps[0] <= gaps[1] <= gaps[2], f"ordering violated: {cov}"
+
+
+def test_criterion_07_replicate_153_has_a_naive_fit_and_covers():
+    # the naive t fit of this replicate's observed sample once ended
+    # "ABNORMAL" in L-BFGS-B, which excluded the replicate for every method
+    cfg = replace(CRITERION7, methods=("percentile", "asymptotic"))
+    model, est, base, psi, master = setup(cfg)
+    data = model.simulate(np.asarray(cfg.theta0), draw_block(
+        derive_seed(master, StreamKey(153, Role.OBSERVED)), cfg.n))
+    fit = est.estimate(data).pi
+    assert np.linalg.norm(est.z(data, fit)) < 1e-6
+    out = _replicate_stats(cfg, model, est, base, psi, master, 153)
+    psi0 = cfg.theta0[1]
+    for meth, upper in (("percentile", -0.688), ("asymptotic", -0.640)):
+        assert out[meth][1][0] == pytest.approx(upper, abs=5e-4)
+        assert psi0 <= out[meth][1][0]
 
 
 @pytest.mark.slow
