@@ -17,7 +17,9 @@ interval for a scalar functional psi(theta):
 ``psi`` maps a (k, p) array of parameter rows to k values (``None``: the
 model's ``default_psi``; an integer j: coordinate j).  Engines call it once
 on all B draws, and on a one-row array for a single point; a psi that does
-not return k values raises :class:`DomainError`.
+not return k values raises :class:`DomainError`.  ``observed_information``
+likewise scores its log-likelihood on rows, the stencil points of every point
+in one call: the bootstrap-t scales all its draws with one ``loglik_batch``.
 
 ``METHOD_REGISTRY`` maps each :class:`CIMethod` name to a function that
 fits once and returns an :class:`IntervalFamily`, the method's intervals
@@ -47,7 +49,7 @@ from .estimators import Estimator
 from .matcher import (_EVALS_PER_P, _RESTARTS, BoxTransform, MatchPath,
                       SolverConfig, _initial_theta, batched_switched_match,
                       closed_form_match, nested_match)
-from .models import Dataset, ModelSpec, ParamVector
+from .models import Dataset, ModelSpec, ParamVector, _batch_of_one
 from .rng import MasterSeed, RandomBlock, Role, derive_seeds, draw_uniforms
 
 __all__ = [
@@ -83,7 +85,7 @@ class DistributionSample:
     """Draws of psi at resampled parameters, with per-draw solver flags."""
 
     values: np.ndarray
-    B: int = 0
+    B: int = field(init=False)
     flags: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -188,6 +190,9 @@ def _psi_at(psi, theta: np.ndarray) -> float:
     return float(_psi_rows(psi, theta)[0])
 
 
+_B_COV = 200  # parametric-bootstrap re-estimates of cov="bootstrap"
+
+
 def _boot_blocks(master: MasterSeed, replicate_id: int, B: int, m: int) -> np.ndarray:
     seeds = derive_seeds(master, replicate_id, Role.BOOT, np.arange(1, B + 1))
     return draw_uniforms(seeds, m)
@@ -211,10 +216,10 @@ def implicit_bootstrap(data: Dataset, model: ModelSpec, est: Estimator,
     The auxiliary estimate is computed once on ``data``; each draw b solves
     the matching problem against a fresh noise block keyed by (replicate_id,
     BOOT, b).  The closed-form and switched paths solve all B draws in one
-    call; the nested path solves them one by one, dropping and counting the
-    draws whose solve raises, and the call fails only when more than half
-    are lost.  ``psi`` maps the (B, p) array of matched parameters to B
-    values in one call.  Returns the psi sample and the interval.
+    call; the nested path solves them one by one.  Every path returns all B
+    draws: a draw without a solution comes back unconverged.  ``psi`` maps
+    the (B, p) array of matched parameters to B values in one call.  Returns
+    the psi sample and the interval.
     """
     _warn_small_B(B)
     psi = _as_psi(psi, model)
@@ -232,25 +237,16 @@ def implicit_bootstrap(data: Dataset, model: ModelSpec, est: Estimator,
         thetas, deltas, converged, _ = batched_switched_match(pi_obs, model,
                                                               est, U, cfg)
     else:
-        results = []
-        for u in U:
-            try:
-                results.append(nested_match(pi_obs, model, est, RandomBlock(u=u),
-                                            cfg))
-            except ImplicitBootError:
-                continue
+        results = [nested_match(pi_obs, model, est, RandomBlock(u), cfg) for u in U]
         thetas = np.array([r.theta_check for r in results])
         deltas = np.array([r.delta for r in results])
         converged = np.array([r.converged for r in results])
-    failed = B - len(thetas)
-    if failed > B // 2:
-        raise NonConvergence(f"{failed}/{B} matching solves failed")
 
     delta_flag = deltas > tol_flag
     sample = DistributionSample(_psi_rows(psi, thetas),
                                 flags={"converged": converged,
                                        "delta_flag": delta_flag})
-    meta = {"B": sample.B, "failed": failed,
+    meta = {"B": sample.B,
             "delta_flag_frac": float(np.mean(delta_flag)),
             "mean_delta": float(np.mean(deltas))}
     lower, upper = _percentile_endpoints(sample)([alpha], two_sided)
@@ -260,28 +256,24 @@ def implicit_bootstrap(data: Dataset, model: ModelSpec, est: Estimator,
 
 def _re_estimates(theta: np.ndarray, model: ModelSpec, est: Estimator,
                   U: np.ndarray):
-    """Estimates on datasets simulated at ``theta``, one per noise row of U.
-
-    Rows without an estimate (NaN rows of the batched fit) are dropped.
-    Returns (estimates (k, p), dropped).
-    """
+    """Estimates on datasets simulated at ``theta``, one per noise row of U,
+    dropping rows without one (NaN rows of the batched fit): (estimates
+    (k, p), their k samples, dropped)."""
     batch = model.simulate_batch(np.tile(theta, (U.shape[0], 1)), U)
     stars = est.estimate_batch(batch)
     good = np.all(np.isfinite(stars), axis=1)
-    return stars[good], int(np.sum(~good))
+    return stars[good], batch.rows(good), int(np.sum(~good))
 
 
 def _resample_thetas(data, model, est, B, master, replicate_id):
-    """Fit, then re-estimate on B datasets simulated at the fit.
-
-    Returns (theta_hat, theta_stars, failed).
-    """
-    theta_hat = model.box.clamp(est.estimate(data).pi)
+    """Fit, then re-estimate on B datasets simulated at the fit pulled
+    inside the box: (fit, theta_stars, their samples, failed)."""
+    fit = est.estimate(data).pi
     U = _boot_blocks(master, replicate_id, B, model.noise_dim(data.n))
-    stars, failed = _re_estimates(theta_hat, model, est, U)
+    stars, samples, failed = _re_estimates(model.box.clamp(fit), model, est, U)
     if failed > B // 2:
         raise NonConvergence(f"{failed}/{B} bootstrap re-estimates failed")
-    return theta_hat, stars, failed
+    return fit, stars, samples, failed
 
 
 def percentile_parametric_bootstrap(data: Dataset, model: ModelSpec,
@@ -294,95 +286,99 @@ def percentile_parametric_bootstrap(data: Dataset, model: ModelSpec,
     """Plain percentile interval from resampling at the fitted parameter."""
     _warn_small_B(B)
     psi = _as_psi(psi, model)
-    theta_hat, stars, failed = _resample_thetas(data, model, consistent_est,
-                                                B, master, replicate_id)
+    fit, stars, _, failed = _resample_thetas(data, model, consistent_est,
+                                             B, master, replicate_id)
     sample = DistributionSample(_psi_rows(psi, stars))
     lower, upper = _percentile_endpoints(sample)([alpha], two_sided)
     return sample, CIResult(CIMethod.PERCENTILE, alpha, float(lower[0]),
-                            float(upper[0]), _psi_at(psi, theta_hat),
+                            float(upper[0]), _psi_at(psi, model.box.clamp(fit)),
                             {"B": sample.B, "failed": failed})
 
 
-def observed_information(loglik, theta: np.ndarray, box=None) -> np.ndarray:
-    """Negative Hessian of a log-likelihood by central differences.
+def observed_information(loglik, thetas: np.ndarray, box=None) -> np.ndarray:
+    """Negative Hessian of a log-likelihood by central differences, at one
+    point (p,) or at each row of a (k, p) stack.
 
-    Step per coordinate: eps^(1/3) * (1 + |theta_j|).  Given the parameter
-    ``box``, a theta within two steps of a bound is first moved two steps
-    inside it, so that no evaluation leaves the parameter space.
+    ``loglik`` maps (K, p) parameter rows to K values; one call scores the
+    S = 1 + 2p^2 stencil points of every point, rows i*S to (i+1)*S - 1 for
+    point i.  Step per coordinate: eps^(1/3) * (1 + |theta_j|).  Given the
+    parameter ``box``, a point within two steps of a bound is first moved two
+    steps inside it, so that no evaluation leaves the parameter space.
     """
-    theta = np.asarray(theta, dtype=float)
-    p = theta.shape[0]
-    h = np.finfo(float).eps ** (1.0 / 3.0) * (1.0 + np.abs(theta))
+    thetas = np.asarray(thetas, dtype=float)
+    t = np.atleast_2d(thetas)
+    k, p = t.shape
+    h = np.finfo(float).eps ** (1.0 / 3.0) * (1.0 + np.abs(t))
+    D = h[:, :, None] * np.eye(p)  # D[:, i] = h_i e_i
     if box is not None:
-        theta = np.clip(theta, box.lower + 2.0 * h, box.upper - 2.0 * h)
-    H = np.empty((p, p))
-    f0 = loglik(theta)
-    for i in range(p):
-        ei = np.zeros(p)
-        ei[i] = h[i]
-        H[i, i] = (loglik(theta + ei) - 2.0 * f0 + loglik(theta - ei)) / h[i] ** 2
-        for j in range(i + 1, p):
-            ej = np.zeros(p)
-            ej[j] = h[j]
-            H[i, j] = H[j, i] = (
-                loglik(theta + ei + ej) - loglik(theta + ei - ej)
-                - loglik(theta - ei + ej) + loglik(theta - ei - ej)
-            ) / (4.0 * h[i] * h[j])
-    return -H
+        t = np.clip(t, box.lower + 2.0 * h, box.upper - 2.0 * h)
+    i, j = np.triu_indices(p, 1)
+    plus, minus = t[:, None] + D, t[:, None] - D
+    stencil = [t[:, None], plus, minus, plus[:, i] + D[:, j],
+               plus[:, i] - D[:, j], minus[:, i] + D[:, j], minus[:, i] - D[:, j]]
+    f = loglik(np.concatenate(stencil, axis=1).reshape(-1, p)).reshape(k, -1)
+    f0, f_p, f_m, f_pp, f_pm, f_mp, f_mm = np.split(
+        f, np.cumsum([1, p, p] + [i.size] * 3), axis=1)
+    H = np.empty((k, p, p))
+    # float_power rounds h^2 as the scalar h ** 2 (pow) does; array ** 2 is h * h
+    d = np.arange(p)
+    H[:, d, d] = (f_p - 2.0 * f0 + f_m) / np.float_power(h, 2)
+    H[:, i, j] = H[:, j, i] = (f_pp - f_pm - f_mp + f_mm) / (4.0 * h[:, i] * h[:, j])
+    return -H if thetas.ndim == 2 else -H[0]
 
 
-def _psi_gradient(psi, theta: np.ndarray) -> np.ndarray:
-    """Central-difference gradient; psi takes the 2p stencil points at once."""
-    theta = np.asarray(theta, dtype=float)
-    h = np.finfo(float).eps ** (1.0 / 3.0) * (1.0 + np.abs(theta))
-    steps = np.diag(h)
-    f = _psi_rows(psi, np.vstack([theta + steps, theta - steps]))
-    p = theta.shape[0]
-    return (f[:p] - f[p:]) / (2.0 * h)
+def _psi_gradient(psi, thetas: np.ndarray) -> np.ndarray:
+    """Central-difference gradients at the rows of ``thetas`` (k, p); psi
+    takes the 2p stencil points of every row in one call."""
+    k, p = thetas.shape
+    h = np.finfo(float).eps ** (1.0 / 3.0) * (1.0 + np.abs(thetas))
+    D = h[:, :, None] * np.eye(p)
+    f = _psi_rows(psi, np.concatenate([thetas[:, None] + D, thetas[:, None] - D],
+                                      axis=1).reshape(-1, p)).reshape(k, 2 * p)
+    return (f[:, :p] - f[:, p:]) / (2.0 * h)
 
 
-def _delta_method_sigma(psi, theta: np.ndarray, info: np.ndarray) -> float:
-    g = _psi_gradient(psi, theta)
-    try:
-        var = float(g @ np.linalg.solve(info, g))
-    except np.linalg.LinAlgError as err:
-        raise SingularInformation(str(err)) from None
-    if not np.isfinite(var) or var <= 0.0:
-        raise SingularInformation(
-            f"delta-method variance {var} from information matrix")
-    return math.sqrt(var)
+def _delta_method_sigma(model, psi, thetas, batch) -> np.ndarray:
+    """Delta-method scales of psi at the rows of ``thetas`` (k, p), row i
+    from its observed information on sample i of ``batch``.  NaN where the
+    information is singular (a zero pivot: ``np.linalg.solve`` raises and
+    ``slogdet`` has sign 0) or the variance is not finite and positive."""
+    k = thetas.shape[0]
+    info = observed_information(lambda rows: model.loglik_batch(
+        rows, batch.rows(np.repeat(np.arange(k), rows.shape[0] // k))),
+        thetas, model.box)
+    g = _psi_gradient(psi, thetas)
+    with np.errstate(invalid="ignore"):
+        ok = np.linalg.slogdet(info)[0] != 0.0
+    var = np.full(k, np.nan)
+    var[ok] = (g[ok, None, :] @ np.linalg.solve(info[ok], g[ok, :, None]))[:, 0, 0]
+    return np.sqrt(np.where(np.isfinite(var) & (var > 0.0), var, np.nan))
 
 
 def _studentized(data, model, est, base, psi, B, master, *,
                  path=MatchPath.SWITCHED, cov="information", replicate_id=0):
     """Bootstrap-t family: pivots (psi_b - psi_hat) / sigma_b from B refits
-    of ``base``, each scaled by the delta method at its own fit."""
+    of ``base``, each scaled by the delta method at its own fit.  The draws
+    are simulated, refitted and scaled in one batch each; more than B/2
+    draws without a fit or a scale raise :class:`NonConvergence`."""
     if not model.has_loglik:
         raise SingularInformation(f"{model.name} exposes no log-likelihood")
     _warn_small_B(B)
     psi = _as_psi(psi, model)
-    theta_hat = base.estimate(data).pi
+    theta_hat, thetas, samples, failed = _resample_thetas(
+        data, model, base, B, master, replicate_id)
     psi_hat = _psi_at(psi, theta_hat)
-    sigma_hat = _delta_method_sigma(
-        psi, theta_hat, observed_information(lambda t: model.loglik(t, data),
-                                             theta_hat, model.box))
-    theta_sim = model.box.clamp(theta_hat)
-    thetas, sigmas, failed = [], [], 0
-    for u in _boot_blocks(master, replicate_id, B, model.noise_dim(data.n)):
-        sim = model.simulate(theta_sim, RandomBlock(u=u))
-        try:
-            theta_b = base.estimate(sim).pi
-            sigmas.append(_delta_method_sigma(
-                psi, theta_b, observed_information(
-                    lambda t: model.loglik(t, sim), theta_b, model.box)))
-        except ImplicitBootError:
-            failed += 1
-            continue
-        thetas.append(theta_b)
+    sigma_hat = float(_delta_method_sigma(model, psi, theta_hat[None],
+                                          _batch_of_one(data))[0])
+    if math.isnan(sigma_hat):
+        raise SingularInformation(f"no delta-method variance at {theta_hat}")
+    sigmas = _delta_method_sigma(model, psi, thetas, samples)
+    good = ~np.isnan(sigmas)
+    failed += int(np.sum(~good))
     if failed > B // 2:
         raise NonConvergence(f"{failed}/{B} studentized draws failed")
-    sample = DistributionSample((_psi_rows(psi, thetas) - psi_hat)
-                                / np.asarray(sigmas))
+    sample = DistributionSample((_psi_rows(psi, thetas[good]) - psi_hat)
+                                / sigmas[good])
 
     def endpoints(alphas, two_sided):
         alphas = np.asarray(alphas, dtype=float)
@@ -446,9 +442,9 @@ def _bca(data, model, est, base, psi, B, master, *,
     """BCa family; see :func:`bca_bootstrap`."""
     _warn_small_B(B)
     psi = _as_psi(psi, model)
-    theta_hat, stars, failed = _resample_thetas(data, model, base,
-                                                B, master, replicate_id)
-    psi_hat = _psi_at(psi, theta_hat)
+    fit, stars, _, failed = _resample_thetas(data, model, base,
+                                             B, master, replicate_id)
+    psi_hat = _psi_at(psi, model.box.clamp(fit))
     sample = DistributionSample(_psi_rows(psi, stars))
     Bv = sample.B
     frac = np.mean(sample.values < psi_hat)
@@ -481,43 +477,37 @@ def bca_bootstrap(data: Dataset, model: ModelSpec, est_mle: Estimator,
 
 
 def asymptotic_components(data: Dataset, model: ModelSpec, est: Estimator,
-                          psi=None, loglik=None, cov: str = "information",
-                          B_cov: int = 200,
-                          master: MasterSeed = MasterSeed(0),
-                          replicate_id: int = 0):
+                          psi=None, cov: str = "information",
+                          master: MasterSeed = MasterSeed(0), replicate_id: int = 0):
     """Delta-method point estimate and scale: (psi_hat, sigma).
 
     The parameter covariance comes from the inverse observed information of
-    ``loglik`` (default: the model log-likelihood).  With ``cov="bootstrap"``
-    it is instead the sample covariance of B_cov parametric-bootstrap
-    re-estimates, for models without a tractable likelihood.
+    the model log-likelihood.  With ``cov="bootstrap"`` it is instead the
+    sample covariance of ``_B_COV`` parametric-bootstrap re-estimates, for
+    models without a tractable likelihood.
     """
     psi = _as_psi(psi, model)
     theta_hat = est.estimate(data).pi
     psi_hat = _psi_at(psi, theta_hat)
     if cov == "bootstrap":
         seeds = derive_seeds(master, replicate_id, Role.INNER,
-                             np.arange(1, B_cov + 1), salt=1)
+                             np.arange(1, _B_COV + 1), salt=1)
         U = draw_uniforms(seeds, model.noise_dim(data.n))
-        stars, _ = _re_estimates(model.box.clamp(theta_hat), model, est, U)
+        stars, _, _ = _re_estimates(model.box.clamp(theta_hat), model, est, U)
         if stars.shape[0] < 2:
             raise SingularInformation("too few bootstrap draws for a covariance")
-        g = _psi_gradient(psi, theta_hat)
+        g = _psi_gradient(psi, theta_hat[None])[0]
         var = float(g @ np.cov(stars, rowvar=False).reshape(g.size, g.size) @ g)
-        if not np.isfinite(var) or var <= 0.0:
-            raise SingularInformation(f"bootstrap variance {var}")
-        sigma = math.sqrt(var)
+        sigma = math.sqrt(var) if np.isfinite(var) and var > 0.0 else math.nan
     elif cov == "information":
-        if loglik is None:
-            if not model.has_loglik:
-                raise SingularInformation(
-                    f"{model.name} exposes no log-likelihood; "
-                    "pass loglik= or cov='bootstrap'")
-            loglik = lambda t: model.loglik(t, data)
-        sigma = _delta_method_sigma(
-            psi, theta_hat, observed_information(loglik, theta_hat, model.box))
+        if not model.has_loglik:
+            raise SingularInformation(f"{model.name} has no log-likelihood")
+        sigma = float(_delta_method_sigma(model, psi, theta_hat[None],
+                                          _batch_of_one(data))[0])
     else:
         raise ValueError(f"unknown cov option {cov!r}")
+    if math.isnan(sigma):
+        raise SingularInformation(f"no {cov} variance at {theta_hat}")
     return psi_hat, sigma
 
 
@@ -535,12 +525,11 @@ def _wald(psi_hat: float, sigma: float, cov: str) -> IntervalFamily:
 
 def asymptotic_ci(data: Dataset, model: ModelSpec, est: Estimator, psi=None,
                   alpha: float = 0.95, two_sided: bool = False,
-                  loglik=None, cov: str = "information", B_cov: int = 200,
-                  master: MasterSeed = MasterSeed(0),
+                  cov: str = "information", master: MasterSeed = MasterSeed(0),
                   replicate_id: int = 0) -> CIResult:
     """Wald interval via the delta method; see :func:`asymptotic_components`."""
-    psi_hat, sigma = asymptotic_components(data, model, est, psi, loglik,
-                                           cov, B_cov, master, replicate_id)
+    psi_hat, sigma = asymptotic_components(data, model, est, psi, cov,
+                                           master, replicate_id)
     return _wald(psi_hat, sigma, cov).at(alpha, two_sided)
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSample, EmptyData, NonConvergence
-from .models import (BatchDataset, Dataset, _censored_t_loglik_grad,
-                     _linear_predictor)
+from .models import (BatchDataset, Dataset, _batch_of_one,
+                     _censored_t_loglik_grad, _linear_predictor)
 
 __all__ = [
     "AuxEstimate",
@@ -92,12 +92,6 @@ class Estimator:
 
     def z(self, data: Dataset, pi: np.ndarray) -> np.ndarray:
         return self.z_batch(_batch_of_one(data), pi)[0]
-
-
-def _batch_of_one(data: Dataset) -> BatchDataset:
-    return BatchDataset(
-        y=data.y[None], X=data.X,
-        censored=None if data.censored is None else data.censored[None])
 
 
 class SampleMaxEstimator(Estimator):

@@ -3,7 +3,9 @@
 Each model is a pure, stateless map ``(thetas, U) -> BatchDataset`` built
 from quantile transforms of open-interval uniforms, so the noise
 distribution never depends on the parameter.  ``simulate(theta, block)`` is
-the same map on a batch of one.
+the same map on a batch of one.  A likelihood is written once too, as the
+row-wise ``loglik_batch``, so the engines' observed information scores all
+its stencil points in one call; ``loglik(theta, data)`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -93,6 +95,11 @@ class BatchDataset:
     X: np.ndarray | None = None
     censored: np.ndarray | None = None
 
+    def rows(self, index) -> BatchDataset:
+        """The samples at ``index`` (a mask or index array); X is shared."""
+        return BatchDataset(self.y[index], self.X,
+                            None if self.censored is None else self.censored[index])
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -110,6 +117,11 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.y.shape[0]
+
+
+def _batch_of_one(data: Dataset) -> BatchDataset:
+    return BatchDataset(data.y[None], data.X,
+                        None if data.censored is None else data.censored[None])
 
 
 def student_t_quantile(u: np.ndarray, nu: float | np.ndarray) -> np.ndarray:
@@ -151,12 +163,17 @@ class ModelSpec:
         """The first coordinate of each parameter row: (k, p) -> (k,)."""
         return np.asarray(thetas, dtype=float)[..., 0]
 
-    def loglik(self, theta: np.ndarray, data: Dataset) -> float:
+    def loglik_batch(self, thetas: np.ndarray, batch: BatchDataset) -> np.ndarray:
+        """Log-likelihood of row b on sample b, (K, p) -> (K,), or on one sample."""
         raise NotImplementedError(f"{self.name} exposes no log-likelihood")
+
+    def loglik(self, theta: np.ndarray, data: Dataset) -> float:
+        theta = self._check(theta)
+        return float(self.loglik_batch(theta[None], _batch_of_one(data))[0])
 
     @property
     def has_loglik(self) -> bool:
-        return type(self).loglik is not ModelSpec.loglik
+        return type(self).loglik_batch is not ModelSpec.loglik_batch
 
     def param(self, values) -> ParamVector:
         return ParamVector(np.asarray(values, dtype=float), self.box)
@@ -210,10 +227,9 @@ class LomaxModel(ModelSpec):
         b, q = thetas[:, :1], thetas[:, 1:2]
         return BatchDataset(y=b * ((1.0 - U) ** (-1.0 / q) - 1.0))
 
-    def loglik(self, theta, data):
-        b, q = self._check(theta)
-        y = data.y
-        return float(np.sum(np.log(q / b) - (q + 1.0) * np.log1p(y / b)))
+    def loglik_batch(self, thetas, batch):
+        b, q = np.asarray(thetas, dtype=float).T[:, :, None]
+        return np.sum(np.log(q / b) - (q + 1.0) * np.log1p(batch.y / b), axis=1)
 
     def survival(self, thetas, y0: float) -> np.ndarray:
         """Pr(Y > y0) at each parameter row: (k, 2) -> (k,)."""
@@ -237,10 +253,9 @@ class AndrewsModel(ModelSpec):
     def simulate_batch(self, thetas, U):
         return BatchDataset(y=np.asarray(thetas)[:, :1] + special.ndtri(U))
 
-    def loglik(self, theta, data):
-        (theta,) = self._check(theta)
-        r = data.y - theta
-        return float(-0.5 * np.sum(r * r) - 0.5 * data.n * np.log(2.0 * np.pi))
+    def loglik_batch(self, thetas, batch):
+        r = batch.y - np.asarray(thetas, dtype=float)[:, :1]
+        return -0.5 * np.sum(r * r, axis=1) - 0.5 * r.shape[1] * np.log(2.0 * np.pi)
 
 
 @lru_cache(maxsize=1)
@@ -283,14 +298,13 @@ class StudentTCensoredModel(ModelSpec):
         d = (y > 0.0).astype(float)
         return BatchDataset(y=y * d, X=self.X, censored=d)
 
-    def loglik(self, theta, data):
+    def loglik_batch(self, thetas, batch):
         """Censored-data likelihood: density on observed rows, t upper tail
         probability of the linear predictor on censored rows."""
-        theta = self._check(theta)
-        X = data.X if data.X is not None else self.X
-        d = data.censored if data.censored is not None else (data.y > 0.0).astype(float)
-        return float(_censored_t_loglik_grad(theta[None], data.y[None], X,
-                                             d[None] > 0.5, order=0)[0])
+        X = batch.X if batch.X is not None else self.X
+        observed = batch.y > 0.0 if batch.censored is None else batch.censored > 0.5
+        return _censored_t_loglik_grad(np.asarray(thetas, dtype=float), batch.y,
+                                       X, observed, order=0)
 
 
 def _linear_predictor(beta: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -312,9 +326,9 @@ def _censored_t_loglik_grad(thetas: np.ndarray, Y: np.ndarray, X: np.ndarray,
 
     Row b of ``thetas`` (B, k+2) holds (beta, sigma, nu) and is scored on row
     b of ``Y`` (B, n), whose entries with ``observed`` (B, n) false are
-    censored at 0 and stored as 0; one row of ``thetas`` (1, k+2) scores
-    every row of ``Y``.  With r = (y - x'beta) / sigma, an
-    observed entry adds log t_nu(r) - log sigma and a censored one
+    censored at 0 and stored as 0; a row of ``thetas`` (1, k+2) scores every
+    sample, and a sample (1, n) is scored by every row.  With r = (y -
+    x'beta) / sigma, an observed entry adds log t_nu(r) - log sigma and a censored one
     log T_nu(r), the t CDF at -x'beta / sigma.
     Returns the log-likelihoods (B,); with ``order`` 1 also the gradients
     in (beta, sigma, nu), (B, k+2); with ``order`` 2 also the Hessians,
@@ -331,7 +345,7 @@ def _censored_t_loglik_grad(thetas: np.ndarray, Y: np.ndarray, X: np.ndarray,
     c = (special.gammaln((nu + 1.0) / 2.0) - special.gammaln(nu / 2.0)
          - 0.5 * np.log(nu * np.pi))
     phi = c - 0.5 * (nu + 1.0) * log1p  # log t_nu(r); log T_nu(r) where censored
-    cens = ~np.asarray(observed, dtype=bool)
+    cens = ~np.broadcast_to(np.asarray(observed, dtype=bool), r.shape)
     r_c, nu_c = r[cens], np.broadcast_to(nu, r.shape)[cens]
     log_pdf = phi[cens]
     log_cdf = np.log(special.stdtr(nu_c, r_c))

@@ -91,7 +91,7 @@ class RandomBlock:
     """An immutable vector of m uniforms in the open interval (0, 1)."""
 
     u: np.ndarray
-    m: int = field(default=0)
+    m: int = field(init=False)
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)

@@ -1,5 +1,6 @@
 """Interval engines: quantile algebra, engine contracts, baseline methods."""
 
+import math
 import warnings
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 from scipy import special
 
 from implicit_boot import exact
-from implicit_boot.engines import (CIMethod, CIResult, DistributionSample,
+from implicit_boot.engines import (METHOD_REGISTRY, CIMethod, CIResult,
+                                   DistributionSample,
                                    asymptotic_ci, asymptotic_components,
                                    bca_bootstrap, bca_level,
                                    empirical_quantile,
@@ -19,14 +21,16 @@ from implicit_boot.engines import (CIMethod, CIResult, DistributionSample,
                                    observed_information,
                                    percentile_parametric_bootstrap,
                                    studentized_bootstrap)
-from implicit_boot.errors import DomainError, SingularInformation
+from implicit_boot.errors import (DomainError, ImplicitBootError,
+                                  SingularInformation)
 from implicit_boot.estimators import (CensoredMeanEstimator, LomaxMLE,
                                       LomaxNaiveWMLE, ParetoMLE,
                                       SampleMaxEstimator, StudentTCensoredMLE)
 from implicit_boot.matcher import MatchPath, closed_form_match
-from implicit_boot.models import Dataset, make_model
-from implicit_boot.rng import (MasterSeed, Role, StreamKey, derive_seed,
-                               derive_seeds, draw_block, draw_uniforms)
+from implicit_boot.models import Dataset, LomaxModel, make_model
+from implicit_boot.rng import (MasterSeed, RandomBlock, Role, StreamKey,
+                               derive_seed, derive_seeds, draw_block,
+                               draw_uniforms)
 
 MS = MasterSeed(577215)
 
@@ -240,9 +244,73 @@ def test_asymptotic_interval_matches_textbook_z_formula():
 
 def test_observed_information_quadratic_exact():
     H = observed_information(
-        lambda t: -0.5 * (3.0 * t[0] ** 2 + 2.0 * t[0] * t[1] + 2.0 * t[1] ** 2),
+        lambda t: -0.5 * (3.0 * t[:, 0] ** 2 + 2.0 * t[:, 0] * t[:, 1]
+                          + 2.0 * t[:, 1] ** 2),
         np.array([0.3, -0.7]))
     np.testing.assert_allclose(H, [[3.0, 1.0], [1.0, 2.0]], atol=1e-6)
+
+
+def _stencil_loop_information(loglik, theta, box):
+    """The information as a loop over the stencil, one scalar call per
+    point: the form observed_information had before it took rows."""
+    p = theta.shape[0]
+    h = np.finfo(float).eps ** (1.0 / 3.0) * (1.0 + np.abs(theta))
+    theta = np.clip(theta, box.lower + 2.0 * h, box.upper - 2.0 * h)
+    H = np.empty((p, p))
+    f0 = loglik(theta)
+    for i in range(p):
+        ei = np.zeros(p)
+        ei[i] = h[i]
+        H[i, i] = (loglik(theta + ei) - 2.0 * f0 + loglik(theta - ei)) / h[i] ** 2
+        for j in range(i + 1, p):
+            ej = np.zeros(p)
+            ej[j] = h[j]
+            H[i, j] = H[j, i] = (
+                loglik(theta + ei + ej) - loglik(theta + ei - ej)
+                - loglik(theta - ei + ej) + loglik(theta - ei - ej)
+            ) / (4.0 * h[i] * h[j])
+    return -H
+
+
+@pytest.mark.parametrize("name, theta, est", [
+    ("lomax", [1.0, 1.5], LomaxMLE()),
+    ("student_t_censored", [4.0, -1.0, 1.5, -0.5, -1.5, 1.4142135623730951,
+                            2.0], None)])
+def test_observed_information_on_k_rows_equals_k_single_calls(name, theta, est):
+    # one loglik call scores the stencils of all k points, row i on sample i;
+    # each point's information equals its own single-point call and the
+    # scalar stencil loop bit for bit.  Censored-t rows are perturbed fits,
+    # the last one with nu within two steps of its bound of 100
+    model = make_model(name, n=60)
+    k = 6
+    U = draw_uniforms(derive_seeds(MS, 32, Role.BOOT, np.arange(1, k + 1)), 60)
+    batch = model.simulate_batch(np.tile(theta, (k, 1)), U)
+    if est is not None:
+        thetas = est.estimate_batch(batch)
+    else:
+        rng = np.random.default_rng(8)
+        thetas = theta * np.exp(rng.normal(0.0, 0.05, (k, model.p)))
+        thetas[-1, -1] = 100.0 - 1e-9
+    assert np.all(np.isfinite(thetas))
+    S = 1 + 2 * model.p ** 2
+    calls = []
+
+    def loglik(rows):
+        calls.append(rows.shape)
+        return model.loglik_batch(rows, batch.rows(np.repeat(np.arange(k), S)))
+
+    H = observed_information(loglik, thetas, model.box)
+    assert calls == [(k * S, model.p)] and H.shape == (k, model.p, model.p)
+    for i in range(k):
+        sample = batch.rows([i])
+        one = observed_information(lambda t: model.loglik_batch(t, sample),
+                                   thetas[i], model.box)
+        data = Dataset(y=sample.y[0], X=sample.X,
+                       censored=None if sample.censored is None
+                       else sample.censored[0])
+        loop = _stencil_loop_information(lambda t: model.loglik(t, data),
+                                         thetas[i], model.box)
+        assert np.array_equal(H[i], one) and np.array_equal(one, loop)
 
 
 def test_asymptotic_bootstrap_covariance_route():
@@ -318,6 +386,89 @@ def test_censored_t_percentile_bootstrap_fits_its_draws_in_one_batch(monkeypatch
     assert len(scalar_calls) == 1 and scalar_calls[0] is data
     assert batch_rows == [1, 200]  # the scalar fit is a batch of one
     assert sample.B == 200
+
+
+def test_studentized_bootstrap_fits_and_scores_its_draws_in_one_batch(
+        monkeypatch):
+    # Lomax n=50, B=300: the B refits are one estimate_batch call and the
+    # informations of all of them one loglik_batch call; the observed fit
+    # and its scale are batches of one
+    model, est = make_model("lomax"), LomaxMLE()
+    master = MasterSeed(12)
+    data = model.simulate([1.0, 1.5], draw_block(
+        derive_seed(master, StreamKey(0, Role.OBSERVED)), 50))
+    fits, scored = [], []
+    batch_fit, batch_loglik = LomaxMLE.estimate_batch, LomaxModel.loglik_batch
+
+    def counted_fit(self, batch):
+        out = batch_fit(self, batch)
+        fits.append((batch.y.shape[0], int(np.sum(np.isnan(out[:, 0])))))
+        return out
+
+    def counted_loglik(self, thetas, batch):
+        scored.append(thetas.shape[0])
+        return batch_loglik(self, thetas, batch)
+
+    monkeypatch.setattr(LomaxMLE, "estimate_batch", counted_fit)
+    monkeypatch.setattr(LomaxModel, "loglik_batch", counted_loglik)
+    ci = studentized_bootstrap(data, model, est, psi=1, B=300, master=master)
+    assert [rows for rows, _ in fits] == [1, 300]
+    no_fit = fits[1][1]
+    assert scored == [9, 9 * (300 - no_fit)]  # 1 + 2p^2 stencil points each
+    assert ci.meta["B"] + ci.meta["failed"] == 300
+    assert ci.meta["failed"] >= no_fit
+
+
+def _per_draw_studentized(data, model, est, j, B, master):
+    """The bootstrap-t of psi = theta_j as a loop over its draws, each
+    simulated, refitted and scaled on its own: the form the engine had
+    before it batched.  Returns (psi_hat, sigma_hat, pivots)."""
+    def sigma(theta, sample):
+        info = _stencil_loop_information(lambda t: model.loglik(t, sample),
+                                         theta, model.box)
+        h = np.finfo(float).eps ** (1.0 / 3.0) * (1.0 + np.abs(theta))
+        g = ((theta + np.diag(h))[:, j] - (theta - np.diag(h))[:, j]) / (2.0 * h)
+        var = float(g @ np.linalg.solve(info, g))
+        if not (np.isfinite(var) and var > 0.0):
+            raise SingularInformation(f"variance {var}")
+        return math.sqrt(var)
+
+    theta_hat = est.estimate(data).pi
+    sigma_hat = sigma(theta_hat, data)
+    U = draw_uniforms(derive_seeds(master, 0, Role.BOOT, np.arange(1, B + 1)),
+                      data.n)
+    pivots = []
+    for u in U:
+        sim = model.simulate(model.box.clamp(theta_hat), RandomBlock(u=u))
+        try:
+            theta_b = est.estimate(sim).pi
+            pivots.append((theta_b[j] - theta_hat[j]) / sigma(theta_b, sim))
+        except (ImplicitBootError, np.linalg.LinAlgError):
+            continue
+    return theta_hat[j], sigma_hat, np.array(pivots)
+
+
+@pytest.mark.parametrize("name, theta0, est, n", [
+    ("lomax", [1.0, 1.5], LomaxMLE(), 50),
+    ("andrews", [0.1], CensoredMeanEstimator(), 30)])
+def test_studentized_bootstrap_equals_its_per_draw_loop(name, theta0, est, n):
+    # the batched draws, fits and scales give the loop's pivots bit for bit
+    model, master, B = make_model(name), MasterSeed(12), 200
+    data = model.simulate(theta0, draw_block(
+        derive_seed(master, StreamKey(0, Role.OBSERVED)), n))
+    j = model.p - 1
+    psi_hat, sigma_hat, pivots = _per_draw_studentized(data, model, est, j, B,
+                                                       master)
+    family = METHOD_REGISTRY["studentized"](data, model, None, est, j, B, master)
+    assert family.point == psi_hat and family.meta["sigma_hat"] == sigma_hat
+    assert family.meta["B"] == pivots.size
+    assert family.meta["failed"] == B - pivots.size
+    alphas = np.array([0.8, 0.9, 0.95])
+    lower, upper = family.endpoints(alphas, True)
+    q = [empirical_quantile(pivots, a) for a in (1.0 + alphas) / 2.0]
+    assert np.array_equal(lower, psi_hat - sigma_hat * np.array(q))
+    q = [empirical_quantile(pivots, a) for a in (1.0 - alphas) / 2.0]
+    assert np.array_equal(upper, psi_hat - sigma_hat * np.array(q))
 
 
 def test_studentized_close_to_wald_at_large_n():

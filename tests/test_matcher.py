@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from implicit_boot import engines, exact, matcher
-from implicit_boot.errors import NoZFunction, UnsupportedExample
+from implicit_boot.errors import (DegenerateSample, NoZFunction,
+                                  UnsupportedExample)
 from implicit_boot.estimators import (AuxEstimate, CensoredMeanEstimator,
                                       FrechetMLE, LomaxMLE, ParetoMLE,
                                       SampleMaxEstimator)
@@ -134,6 +135,21 @@ def test_match_result_theta_is_immutable():
     res = switched_match(pi, model, est, star)
     with pytest.raises(ValueError):
         res.theta_check[0] = 0.0
+
+
+def test_nested_match_scores_estimator_failures_and_returns_unconverged():
+    # every simulated candidate raises in the estimator; the objective
+    # scores each 1e10, so the solve ends unconverged instead of raising
+    class Failing(LomaxMLE):
+        def estimate(self, data):
+            raise DegenerateSample("no estimate on any sample")
+
+    model = make_model("lomax")
+    res = nested_match(AuxEstimate(pi=np.array([1.0, 1.5])), model, Failing(),
+                       _block(41, 50))
+    assert res.path is MatchPath.NESTED and not res.converged
+    assert res.delta == 1e10 and res.objective_evals > 1
+    assert model.box.contains(res.theta_check)
 
 
 def test_switched_is_cheaper_than_nested_on_the_lomax_model():

@@ -1,15 +1,21 @@
 """Data-generating processes: quantile transforms, batch parity, boxes."""
 
+import ast
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+from implicit_boot import engines
 from implicit_boot.errors import OutOfBox
-from implicit_boot.models import (Box, Dataset, MODEL_REGISTRY, ParamVector,
-                                  _censored_t_loglik_grad, load_design_matrix,
-                                  make_model, student_t_quantile)
+from implicit_boot.models import (BatchDataset, Box, Dataset, MODEL_REGISTRY,
+                                  ParamVector, _censored_t_loglik_grad,
+                                  load_design_matrix, make_model,
+                                  student_t_quantile)
 from implicit_boot.rng import (MasterSeed, RandomBlock, Role, StreamKey,
                                derive_seed, derive_seeds, draw_block,
                                draw_uniforms)
@@ -253,6 +259,65 @@ def test_censored_t_loglik_matches_scipy_stats_reference():
         # the model's scalar log-likelihood is row b of the same formula
         data = Dataset(y=Y[b], X=model.X, censored=obs.astype(float))
         assert model.loglik(theta, data) == ll[b]
+
+
+def _lomax_reference(theta, y):
+    return np.sum(stats.lomax.logpdf(y, c=theta[1], scale=theta[0]))
+
+
+def _andrews_reference(theta, y):
+    return np.sum(stats.norm.logpdf(y, theta[0], 1.0))
+
+
+@pytest.mark.parametrize("name, reference", [("lomax", _lomax_reference),
+                                             ("andrews", _andrews_reference)])
+def test_loglik_batch_rows_match_scipy_stats_sums(name, reference):
+    # row b of thetas is scored on sample b, one sample is scored by every
+    # row, permuting the rows permutes the values, and loglik is row b
+    model = _make(name)
+    rng = np.random.default_rng(7)
+    K = 8
+    thetas = np.exp(rng.normal(0.2, 0.5, (K, model.p)))
+    U = draw_uniforms(derive_seeds(MS, 25, Role.BOOT, np.arange(1, K + 1)), 40)
+    batch = model.simulate_batch(thetas[::-1], U)
+    paired = model.loglik_batch(thetas, batch)
+    one = model.loglik_batch(thetas, batch.rows([3]))
+    assert paired.shape == one.shape == (K,)
+    for b in range(K):
+        assert paired[b] == pytest.approx(reference(thetas[b], batch.y[b]),
+                                          rel=1e-12)
+        assert one[b] == pytest.approx(reference(thetas[b], batch.y[3]),
+                                       rel=1e-12)
+        assert model.loglik(thetas[b], Dataset(y=batch.y[b])) == paired[b]
+    perm = rng.permutation(K)
+    assert np.array_equal(model.loglik_batch(thetas[perm], batch.rows(perm)),
+                          paired[perm])
+
+
+def test_censored_t_loglik_batch_scores_one_sample_on_every_row():
+    # the observed flags of a batch of one broadcast to every row
+    model, thetas, Y, observed = _censored_t_rows()
+    data = Dataset(y=Y[2], X=model.X, censored=observed[2].astype(float))
+    one = model.loglik_batch(thetas, BatchDataset(
+        y=Y[2:3], X=model.X, censored=data.censored[None]))
+    assert [model.loglik(theta, data) for theta in thetas] == list(one)
+
+
+def test_models_write_their_likelihood_once():
+    # loglik is loglik_batch on a batch of one, written in ModelSpec; has_loglik
+    # follows from loglik_batch, and the bootstrap-t and the information
+    # stencil have no Python loop
+    assert [c.__name__ for c in MODEL_REGISTRY.values()
+            if "loglik" in vars(c)] == []
+    with_likelihood = sorted(name for name, c in MODEL_REGISTRY.items()
+                             if "loglik_batch" in vars(c))
+    assert with_likelihood == ["andrews", "lomax", "student_t_censored"]
+    assert sorted(name for name in MODEL_REGISTRY
+                  if make_model(name, n=40).has_loglik) == with_likelihood
+    for fn in (engines._studentized, engines.observed_information):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, (ast.For, ast.While, ast.comprehension))]
 
 
 def test_censored_t_loglik_derivatives_match_central_differences():
