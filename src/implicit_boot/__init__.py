@@ -14,8 +14,7 @@ Carlo coverage harness live alongside the main engine.
 from .errors import ImplicitBootError
 from .rng import MasterSeed, Role, StreamKey, RandomBlock, derive_seed, draw_block
 from .models import make_model, MODEL_REGISTRY
-from .matcher import (MatchPath, SolverConfig, nested_match, switched_match,
-                      closed_form_match)
+from .matcher import MatchPath, nested_match, switched_match, closed_form_match
 from .engines import (CIResult, implicit_bootstrap, percentile_parametric_bootstrap,
                       studentized_bootstrap, bca_bootstrap, asymptotic_ci,
                       indirect_inference_correct, empirical_quantile)
@@ -26,7 +25,7 @@ __all__ = [
     "ImplicitBootError",
     "MasterSeed", "Role", "StreamKey", "RandomBlock", "derive_seed", "draw_block",
     "make_model", "MODEL_REGISTRY",
-    "MatchPath", "SolverConfig", "nested_match", "switched_match",
+    "MatchPath", "nested_match", "switched_match",
     "closed_form_match",
     "CIResult", "implicit_bootstrap", "percentile_parametric_bootstrap",
     "studentized_bootstrap", "bca_bootstrap", "asymptotic_ci",

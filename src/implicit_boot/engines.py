@@ -12,7 +12,8 @@ interval for a scalar functional psi(theta):
 * ``asymptotic_ci`` -- Wald interval from the observed information (or a
   parametric-bootstrap covariance when no likelihood is available);
 * ``indirect_inference_correct`` -- consistency correction of a biased
-  estimator by matching its average over frozen simulated samples.
+  estimator by matching its average over frozen simulated samples, solved
+  by the switched matcher's Newton iteration as one row.
 
 ``psi`` maps a (k, p) array of parameter rows to k values (``None``: the
 model's ``default_psi``; an integer j: coordinate j).  Engines call it once
@@ -40,15 +41,14 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from . import exact
 from .errors import (DomainError, ImplicitBootError, NonConvergence,
                      SingularInformation)
 from .estimators import Estimator
-from .matcher import (_EVALS_PER_P, _RESTARTS, BoxTransform, MatchPath,
-                      SolverConfig, _initial_theta, batched_switched_match,
-                      closed_form_match, nested_match)
+from .matcher import (_TOL_DELTA, BoxTransform, MatchPath, _newton,
+                      batched_switched_match, closed_form_match, nested_match)
 from .models import Dataset, ModelSpec, ParamVector, _batch_of_one
 from .rng import MasterSeed, RandomBlock, Role, derive_seeds, draw_uniforms
 
@@ -207,7 +207,6 @@ def _warn_small_B(B: int) -> None:
 def implicit_bootstrap(data: Dataset, model: ModelSpec, est: Estimator,
                        psi=None, B: int = 1000,
                        master: MasterSeed = MasterSeed(0),
-                       cfg: SolverConfig = SolverConfig(),
                        path: MatchPath = MatchPath.SWITCHED,
                        alpha: float = 0.95, two_sided: bool = False,
                        replicate_id: int = 0):
@@ -235,9 +234,9 @@ def implicit_bootstrap(data: Dataset, model: ModelSpec, est: Estimator,
         converged = np.full(B, res.converged)
     elif path is MatchPath.SWITCHED:
         thetas, deltas, converged, _ = batched_switched_match(pi_obs, model,
-                                                              est, U, cfg)
+                                                              est, U)
     else:
-        results = [nested_match(pi_obs, model, est, RandomBlock(u), cfg) for u in U]
+        results = [nested_match(pi_obs, model, est, RandomBlock(u)) for u in U]
         thetas = np.array([r.theta_check for r in results])
         deltas = np.array([r.delta for r in results])
         converged = np.array([r.converged for r in results])
@@ -257,23 +256,25 @@ def implicit_bootstrap(data: Dataset, model: ModelSpec, est: Estimator,
 def _re_estimates(theta: np.ndarray, model: ModelSpec, est: Estimator,
                   U: np.ndarray):
     """Estimates on datasets simulated at ``theta``, one per noise row of U,
-    dropping rows without one (NaN rows of the batched fit): (estimates
-    (k, p), their k samples, dropped)."""
+    keeping the rows that have one (not the NaN rows of the batched fit):
+    (kept estimates (k, p), the simulated batch, the kept mask)."""
     batch = model.simulate_batch(np.tile(theta, (U.shape[0], 1)), U)
     stars = est.estimate_batch(batch)
     good = np.all(np.isfinite(stars), axis=1)
-    return stars[good], batch.rows(good), int(np.sum(~good))
+    return stars[good], batch, good
 
 
 def _resample_thetas(data, model, est, B, master, replicate_id):
     """Fit, then re-estimate on B datasets simulated at the fit pulled
-    inside the box: (fit, theta_stars, their samples, failed)."""
+    inside the box: (fit, theta_stars, the simulated batch, the kept
+    mask)."""
     fit = est.estimate(data).pi
     U = _boot_blocks(master, replicate_id, B, model.noise_dim(data.n))
-    stars, samples, failed = _re_estimates(model.box.clamp(fit), model, est, U)
+    stars, batch, good = _re_estimates(model.box.clamp(fit), model, est, U)
+    failed = int(np.sum(~good))
     if failed > B // 2:
         raise NonConvergence(f"{failed}/{B} bootstrap re-estimates failed")
-    return fit, stars, samples, failed
+    return fit, stars, batch, good
 
 
 def percentile_parametric_bootstrap(data: Dataset, model: ModelSpec,
@@ -286,13 +287,13 @@ def percentile_parametric_bootstrap(data: Dataset, model: ModelSpec,
     """Plain percentile interval from resampling at the fitted parameter."""
     _warn_small_B(B)
     psi = _as_psi(psi, model)
-    fit, stars, _, failed = _resample_thetas(data, model, consistent_est,
-                                             B, master, replicate_id)
+    fit, stars, _, good = _resample_thetas(data, model, consistent_est,
+                                           B, master, replicate_id)
     sample = DistributionSample(_psi_rows(psi, stars))
     lower, upper = _percentile_endpoints(sample)([alpha], two_sided)
     return sample, CIResult(CIMethod.PERCENTILE, alpha, float(lower[0]),
                             float(upper[0]), _psi_at(psi, model.box.clamp(fit)),
-                            {"B": sample.B, "failed": failed})
+                            {"B": sample.B, "failed": int(np.sum(~good))})
 
 
 def observed_information(loglik, thetas: np.ndarray, box=None) -> np.ndarray:
@@ -365,16 +366,16 @@ def _studentized(data, model, est, base, psi, B, master, *,
         raise SingularInformation(f"{model.name} exposes no log-likelihood")
     _warn_small_B(B)
     psi = _as_psi(psi, model)
-    theta_hat, thetas, samples, failed = _resample_thetas(
+    theta_hat, thetas, batch, kept = _resample_thetas(
         data, model, base, B, master, replicate_id)
     psi_hat = _psi_at(psi, theta_hat)
     sigma_hat = float(_delta_method_sigma(model, psi, theta_hat[None],
                                           _batch_of_one(data))[0])
     if math.isnan(sigma_hat):
         raise SingularInformation(f"no delta-method variance at {theta_hat}")
-    sigmas = _delta_method_sigma(model, psi, thetas, samples)
+    sigmas = _delta_method_sigma(model, psi, thetas, batch.rows(kept))
     good = ~np.isnan(sigmas)
-    failed += int(np.sum(~good))
+    failed = int(np.sum(~kept)) + int(np.sum(~good))
     if failed > B // 2:
         raise NonConvergence(f"{failed}/{B} studentized draws failed")
     sample = DistributionSample((_psi_rows(psi, thetas[good]) - psi_hat)
@@ -442,8 +443,8 @@ def _bca(data, model, est, base, psi, B, master, *,
     """BCa family; see :func:`bca_bootstrap`."""
     _warn_small_B(B)
     psi = _as_psi(psi, model)
-    fit, stars, _, failed = _resample_thetas(data, model, base,
-                                             B, master, replicate_id)
+    fit, stars, _, good = _resample_thetas(data, model, base,
+                                           B, master, replicate_id)
     psi_hat = _psi_at(psi, model.box.clamp(fit))
     sample = DistributionSample(_psi_rows(psi, stars))
     Bv = sample.B
@@ -451,7 +452,7 @@ def _bca(data, model, est, base, psi, B, master, *,
     frac = min(max(frac, 1.0 / (Bv + 1.0)), Bv / (Bv + 1.0))
     z0 = float(special.ndtri(frac))
     a = jackknife_acceleration(data, base, psi)
-    meta = {"B": Bv, "failed": failed, "z0": z0, "a": a}
+    meta = {"B": Bv, "failed": int(np.sum(~good)), "z0": z0, "a": a}
     if a is None:
         warnings.warn("degenerate jackknife; falling back to plain "
                       "percentile levels", stacklevel=2)
@@ -576,54 +577,50 @@ METHOD_REGISTRY = {
 def indirect_inference_correct(data: Dataset, model: ModelSpec,
                                est: Estimator, H: int = 50,
                                master: MasterSeed = MasterSeed(0),
-                               cfg: SolverConfig = SolverConfig(),
                                replicate_id: int = 0) -> ParamVector:
     """Bias-correct an estimator by matching its simulated average.
 
-    Minimizes || pi_obs - mean_h est(simulate(theta, W_h)) || over the
-    parameter box with H frozen noise blocks.
+    Solves mean_h est(simulate(theta, W_h)) = pi_obs over the parameter box
+    with H frozen noise blocks, by :func:`matcher._newton` on one row whose
+    noise row holds all H blocks.  It starts at the observed estimate and,
+    while the gap exceeds 1e-8, restarts from the box centre and then the
+    midpoint of the two, as the switched matcher does.  The estimator must
+    have the parameter's dimension (a square system).
     """
     if H < 1:
         raise ValueError("H must be >= 1")
     pi_obs = est.estimate(data)
+    pi = pi_obs.pi
+    if pi.shape[0] != model.p:
+        raise DomainError(f"{est.name} estimates {pi.shape[0]} values; "
+                          f"indirect inference needs the model's {model.p}")
     m = model.noise_dim(data.n)
     seeds = derive_seeds(master, replicate_id, Role.INNER,
                          np.arange(1, H + 1), salt=2)
-    U = draw_uniforms(seeds, m)
+    V = draw_uniforms(seeds, m)[None]
     transform = BoxTransform(model.box)
 
-    def residual(t):
-        """The gap at unconstrained ``t``; 1e10 where a simulated sample
-        has no estimate."""
-        sim = model.simulate_batch(np.tile(transform.to_box(t), (H, 1)), U)
-        out = pi_obs.pi - np.mean(est.estimate_batch(sim), axis=0)
+    def gap(t, V):
+        """The averaged gap at each row of ``t`` on its H noise blocks;
+        1e10 where a simulated sample has no estimate."""
+        k = t.shape[0]
+        sim = model.simulate_batch(np.repeat(transform.to_box(t), H, axis=0),
+                                   V.reshape(k * H, m))
+        out = np.mean(est.estimate_batch(sim).reshape(k, H, -1), axis=1) - pi
         return np.where(np.isfinite(out), out, 1e10)
 
-    def gap(t):
-        return float(np.linalg.norm(residual(t)))
-
-    t0 = transform.to_unconstrained(_initial_theta(cfg, pi_obs, model, transform))
-    best_t, best_f = t0, gap(t0)
-    if model.p == pi_obs.pi.shape[0]:
-        sol = optimize.root(residual, t0, method="hybr", options={"xtol": 1e-12})
-        f = gap(sol.x)
+    t0 = transform.to_unconstrained(model.box.clamp(pi))
+    center = transform.to_unconstrained(transform.center())
+    best_t, best_f = t0, math.inf
+    for start in (t0, center, 0.5 * (t0 + center)):
+        t, _ = _newton(gap, start[None].copy(), V)
+        f = float(np.linalg.norm(gap(t, V)))
         if f < best_f:
-            best_t, best_f = sol.x, f
-    step = 0.25
-    for _ in range(_RESTARTS):
-        if best_f <= cfg.tol_delta:
+            best_t, best_f = t[0], f
+        if best_f <= _TOL_DELTA:
             break
-        res = optimize.minimize(
-            gap, best_t, method="Nelder-Mead",
-            options={"initial_simplex": np.vstack(
-                [best_t, best_t + step * np.eye(best_t.shape[0])]),
-                "adaptive": True, "xatol": 1e-10, "fatol": 1e-13,
-                "maxfev": _EVALS_PER_P * model.p})
-        if res.fun < best_f:
-            best_t, best_f = res.x, float(res.fun)
-        step *= 0.05
-    scale = 1.0 + float(np.linalg.norm(pi_obs.pi))
+    scale = 1.0 + float(np.linalg.norm(pi))
     if best_f > 1e-4 * scale:
-        raise NonConvergence(
-            f"indirect-inference gap {best_f:.3g} after {_RESTARTS} restarts")
+        raise NonConvergence(f"indirect-inference gap {best_f:.3g} after "
+                             "Newton from three starts")
     return model.param(transform.to_box(best_t))

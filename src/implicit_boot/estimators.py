@@ -153,11 +153,15 @@ class CensoredMeanEstimator(Estimator):
         return self.estimate_batch(batch) - np.asarray(pi, dtype=float)
 
 
+def _lomax_score_parts(y, b, q):
+    """The Lomax likelihood score (s_b, s_q) of each observation, elementwise
+    in ``y``, ``b`` and ``q`` (broadcast)."""
+    return (q + 1.0) * y / (b * b + b * y) - 1.0 / b, 1.0 / q - np.log1p(y / b)
+
+
 def lomax_score(y: np.ndarray, b: float, q: float) -> np.ndarray:
     """Per-observation likelihood score of the Lomax density, shape (n, 2)."""
-    s_b = (q + 1.0) * y / (b * b + b * y) - 1.0 / b
-    s_q = 1.0 / q - np.log1p(y / b)
-    return np.column_stack([s_b, s_q])
+    return np.column_stack(_lomax_score_parts(y, b, q))
 
 
 def lomax_fisher_information(b: float, q: float) -> np.ndarray:
@@ -229,11 +233,8 @@ class LomaxMLE(Estimator):
     no_fit = "no sign change for the Lomax profile score"
 
     def z_batch(self, batch, pi):
-        b, q = np.asarray(pi, dtype=float)
-        y = batch.y
-        s_b = np.mean((q + 1.0) * y / (b * b + b * y) - 1.0 / b, axis=1)
-        s_q = np.mean(1.0 / q - np.log1p(y / b), axis=1)
-        return np.column_stack([s_b, s_q])
+        s_b, s_q = _lomax_score_parts(batch.y, *np.asarray(pi, dtype=float))
+        return np.column_stack([np.mean(s_b, axis=1), np.mean(s_q, axis=1)])
 
     def estimate_batch(self, batch):
         """Row-wise MLE: the grid's bracket, then Illinois steps.
@@ -283,9 +284,6 @@ class LomaxNaiveWMLE(Estimator):
 
     name = "lomax_naive_wmle"
 
-    def __init__(self, cutoff: float = HUBER_CUTOFF):
-        self.cutoff = float(cutoff)
-
     def weights(self, y: np.ndarray, b: float, q: float) -> np.ndarray:
         s = lomax_score(y, b, q)
         info = lomax_fisher_information(b, q)
@@ -293,23 +291,21 @@ class LomaxNaiveWMLE(Estimator):
         root_inv = vecs @ np.diag(vals ** -0.5) @ vecs.T
         norms = np.linalg.norm(s @ root_inv, axis=1)
         with np.errstate(divide="ignore"):
-            return np.minimum(1.0, self.cutoff / norms)
+            return np.minimum(1.0, HUBER_CUTOFF / norms)
 
     def z_batch(self, batch, pi):
         """The weighted score of each sample at ``pi``, one (p,) value for
         every row or one (B, p) row per sample."""
         P = np.atleast_2d(np.asarray(pi, dtype=float))
         b, q = P[:, :1], P[:, 1:]
-        y = batch.y
-        s_b = (q + 1.0) * y / (b * b + b * y) - 1.0 / b
-        s_q = 1.0 / q - np.log1p(y / b)
+        s_b, s_q = _lomax_score_parts(batch.y, b, q)
         info = np.moveaxis(lomax_fisher_information(b[:, 0], q[:, 0]), -1, 0)
         vals, vecs = np.linalg.eigh(info)
         R = (vecs * vals[:, None, :] ** -0.5) @ vecs.transpose(0, 2, 1)
         zb = R[:, 0, :1] * s_b + R[:, 0, 1:] * s_q
         zq = R[:, 1, :1] * s_b + R[:, 1, 1:] * s_q
         norms = np.hypot(zb, zq)
-        w = np.minimum(1.0, self.cutoff / norms)
+        w = np.minimum(1.0, HUBER_CUTOFF / norms)
         return np.column_stack([np.mean(w * s_b, axis=1), np.mean(w * s_q, axis=1)])
 
     def estimate_batch(self, batch):

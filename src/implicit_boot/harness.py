@@ -25,7 +25,7 @@ import numpy as np
 
 from . import engines, exact
 from .errors import (ConfigError, ExcessExclusions, ImplicitBootError,
-                     ParseError)
+                     OutOfBox, ParseError)
 from .estimators import (CensoredMeanEstimator, FrechetMLE, LomaxMLE,
                          LomaxNaiveWMLE, ParetoMLE, SampleMaxEstimator,
                          StudentTCensoredMLE, StudentTNaiveMLE)
@@ -154,8 +154,14 @@ class ScenarioConfig:
 
 def setup(cfg: ScenarioConfig, n: int | None = None):
     """(model, est, base, psi, master) for a scenario; ``n`` defaults to
-    the configured sample size."""
-    model = make_model(cfg.model, n=cfg.n if n is None else n)
+    the configured sample size.  A sample size the model cannot take, or a
+    ``theta0`` outside the model's parameter space, is a
+    :class:`ConfigError`."""
+    try:
+        model = make_model(cfg.model, n=cfg.n if n is None else n)
+        model._check(cfg.theta0)
+    except (ValueError, OutOfBox) as err:
+        raise ConfigError(f"{cfg.scenario}: {err}") from None
     return (model, make_estimator(cfg.estimator, model),
             make_estimator(cfg.baseline_estimator or cfg.estimator, model),
             make_psi(cfg.psi, model), MasterSeed(cfg.master_seed))
@@ -413,17 +419,16 @@ def run_exact_check(example: str, M: int = 10000, B: int = 2000,
     return report
 
 
-def run_bench(cfg: ScenarioConfig, methods=None, reps: int = 10):
-    """Median wall time per CI for each method, plus ratios to the
-    percentile parametric bootstrap when it is among them."""
-    methods = tuple(methods or cfg.methods)
+def run_bench(cfg: ScenarioConfig, reps: int = 10):
+    """Median wall time per CI for each configured method, plus ratios to
+    the percentile parametric bootstrap when it is among them."""
     model, est, base, psi, master = setup(cfg)
-    times = {meth: [] for meth in methods}
+    times = {meth: [] for meth in cfg.methods}
     for r in range(reps):
         block = draw_block(derive_seed(master, StreamKey(r, Role.OBSERVED)),
                            model.noise_dim(cfg.n))
         data = model.simulate(np.asarray(cfg.theta0), block)
-        for meth in methods:
+        for meth in cfg.methods:
             t0 = time.perf_counter()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -435,7 +440,7 @@ def run_bench(cfg: ScenarioConfig, methods=None, reps: int = 10):
     table = []
     med = {meth: float(np.median(ts)) for meth, ts in times.items()}
     ref = med.get("percentile")
-    for meth in methods:
+    for meth in cfg.methods:
         table.append({"method": meth, "median_s": med[meth],
                       "ratio_vs_percentile":
                           med[meth] / ref if ref else float("nan")})

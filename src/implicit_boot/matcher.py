@@ -14,6 +14,8 @@ Three routes return a :class:`MatchResult`:
 blocks of a replicate together, through the model's ``simulate_batch`` and
 the estimator's ``z_batch``, and scores each draw by its auxiliary-estimate
 gap, re-estimated by ``estimate_batch``; it is the one switched solver.
+Its root-finder, ``_newton``, is the package's one Newton iteration: the
+indirect-inference correction in ``engines`` solves on it too.
 
 All candidate evaluations inside one solve reuse the same noise block, so the
 objective is a deterministic function of the parameter.
@@ -35,8 +37,6 @@ from .rng import RandomBlock
 
 __all__ = [
     "MatchPath",
-    "InitRule",
-    "SolverConfig",
     "MatchResult",
     "BoxTransform",
     "nested_match",
@@ -52,22 +52,11 @@ class MatchPath(enum.Enum):
     CLOSED_FORM = "closed_form"
 
 
-class InitRule(enum.Enum):
-    AT_PI_HAT = "at_pi_hat"
-    USER = "user"
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    tol_delta: float = 1e-8
-    tol_x: float = 1e-10
-    init_rule: InitRule = InitRule.AT_PI_HAT
-    init: np.ndarray | None = None
-
-
-_RESTARTS = 3  # Nelder-Mead restarts of the nested and indirect-inference fits
-_EVALS_PER_P = 2000  # their evaluation budget per parameter
-_MAX_ITER = 60  # Newton iterations per pass of the switched solver
+_TOL_DELTA = 1e-8  # matching gap at or below which a draw counts as solved
+_TOL_X = 1e-10  # Nelder-Mead's parameter tolerance in the nested path
+_RESTARTS = 3  # Nelder-Mead restarts of the nested path
+_EVALS_PER_P = 2000  # its evaluation budget per parameter
+_MAX_ITER = 60  # iterations per Newton pass
 
 
 @dataclass(frozen=True)
@@ -133,20 +122,19 @@ class BoxTransform:
         return self.to_box(np.zeros(self.lo.shape[0]))
 
 
-def _initial_theta(cfg: SolverConfig, pi_obs: AuxEstimate, model: ModelSpec,
+def _initial_theta(pi_obs: AuxEstimate, model: ModelSpec,
                    transform: BoxTransform) -> np.ndarray:
-    if cfg.init_rule is InitRule.USER:
-        if cfg.init is None:
-            raise ValueError("init_rule=USER requires cfg.init")
-        return np.asarray(cfg.init, dtype=float)
+    """The observed estimate pulled inside the box when it has the
+    parameter's dimension, else the box centre."""
     if pi_obs.pi.shape[0] == model.p:
         return model.box.clamp(pi_obs.pi)
     return transform.center()
 
 
 def nested_match(pi_obs: AuxEstimate, model: ModelSpec, est: Estimator,
-                 w_star: RandomBlock, cfg: SolverConfig = SolverConfig()) -> MatchResult:
-    """Minimize the gap between observed and simulated auxiliary estimates."""
+                 w_star: RandomBlock, init=None) -> MatchResult:
+    """Minimize the gap between observed and simulated auxiliary estimates,
+    from ``init`` when given."""
     transform = BoxTransform(model.box)
     evals = 0
 
@@ -164,7 +152,9 @@ def nested_match(pi_obs: AuxEstimate, model: ModelSpec, est: Estimator,
         except ImplicitBootError:
             return 1e10
 
-    t0 = transform.to_unconstrained(_initial_theta(cfg, pi_obs, model, transform))
+    start = (_initial_theta(pi_obs, model, transform) if init is None
+             else np.asarray(init, dtype=float))
+    t0 = transform.to_unconstrained(start)
     f0 = objective(t0)
     best_t, best_f = t0, f0
     if f0 == 0.0:
@@ -179,23 +169,23 @@ def nested_match(pi_obs: AuxEstimate, model: ModelSpec, est: Estimator,
         res = optimize.minimize(
             objective, best_t, method="Nelder-Mead",
             options={"initial_simplex": simplex, "adaptive": True,
-                     "xatol": min(cfg.tol_x, 1e-10), "fatol": 1e-13,
+                     "xatol": _TOL_X, "fatol": 1e-13,
                      "maxfev": per_restart})
         if res.fun < best_f or (res.fun == best_f
                                 and tuple(res.x) < tuple(best_t)):
             best_t, best_f = res.x, float(res.fun)
         step *= 0.05
-        if best_f <= cfg.tol_delta:
+        if best_f <= _TOL_DELTA:
             break
         if evals >= budget:
             break
     theta = transform.to_box(best_t)
-    return MatchResult(theta, best_f, evals, best_f <= cfg.tol_delta,
+    return MatchResult(theta, best_f, evals, best_f <= _TOL_DELTA,
                        MatchPath.NESTED)
 
 
 def switched_match(pi_obs: AuxEstimate, model: ModelSpec, est: Estimator,
-                   w_star: RandomBlock, cfg: SolverConfig = SolverConfig()) -> MatchResult:
+                   w_star: RandomBlock) -> MatchResult:
     """Solve the simulated estimating equation at the observed auxiliary value.
 
     The batched solve on a batch of one.  The reported residual is then
@@ -205,13 +195,13 @@ def switched_match(pi_obs: AuxEstimate, model: ModelSpec, est: Estimator,
     infinite gap, unconverged.
     """
     thetas, _, _, evals = batched_switched_match(pi_obs, model, est,
-                                                 w_star.u[None], cfg)
+                                                 w_star.u[None])
     try:
         pi_star = est.estimate(model.simulate(thetas[0], w_star)).pi
         delta = float(np.linalg.norm(pi_obs.pi - pi_star))
     except ImplicitBootError:
         delta = float("inf")
-    return MatchResult(thetas[0], delta, evals + 1, delta <= cfg.tol_delta,
+    return MatchResult(thetas[0], delta, evals + 1, delta <= _TOL_DELTA,
                        MatchPath.SWITCHED)
 
 
@@ -232,24 +222,92 @@ def closed_form_match(example: str, pi_obs: AuxEstimate, w_star_summary) -> Matc
                        MatchPath.CLOSED_FORM)
 
 
+def _newton(f, t, V):
+    """Damped Newton on every row of ``t``, row i solving ``f`` on noise row
+    ``V[i]``.
+
+    ``f(ta, Va)`` maps k rows of unconstrained coordinates and their k noise
+    rows to the (k, p) residuals.  The Jacobian is a forward difference
+    (step 1e-7); a step is capped at 4 in any coordinate and halved up to six
+    times while the residual norm would grow.  A row stops once its norm is
+    below 1e-11, its step is not finite, its Jacobian is zero, or after
+    ``_MAX_ITER`` iterations.  Updates ``t`` in place; returns it and
+    whether each row stopped on a zero Jacobian.
+    """
+    p = t.shape[1]
+    active = np.ones(t.shape[0], dtype=bool)
+    flat = np.zeros(t.shape[0], dtype=bool)
+    h = 1e-7
+    for _ in range(_MAX_ITER):
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
+            break
+        ta, Va = t[rows], V[rows]
+        z = f(ta, Va)
+        norms = np.linalg.norm(z, axis=1)
+        done = norms < 1e-11
+        if done.any():
+            active[rows[done]] = False
+            keep = ~done
+            rows, ta, Va, z, norms = (rows[keep], ta[keep], Va[keep],
+                                      z[keep], norms[keep])
+            if rows.size == 0:
+                break
+        J = np.empty((rows.size, p, p))
+        for j in range(p):
+            tp = ta.copy()
+            tp[:, j] += h
+            J[:, :, j] = (f(tp, Va) - z) / h
+        zero = np.all(J == 0.0, axis=(1, 2))
+        if zero.any():
+            # no Newton direction: the row would never move again
+            flat[rows[zero]] = True
+            active[rows[zero]] = False
+            keep = ~zero
+            rows, ta, Va, z, norms, J = (rows[keep], ta[keep], Va[keep],
+                                         z[keep], norms[keep], J[keep])
+            if rows.size == 0:
+                break
+        try:
+            dx = -np.linalg.solve(J, z[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            dx = np.stack([-np.linalg.lstsq(J[i], z[i], rcond=None)[0]
+                           for i in range(rows.size)])
+        bad = ~np.all(np.isfinite(dx), axis=1)
+        if bad.any():
+            dx[bad] = 0.0
+            active[rows[bad]] = False  # unsolved; the caller may restart it
+        big = np.max(np.abs(dx), axis=1)
+        scale = np.where(big > 4.0, 4.0 / np.maximum(big, 1e-300), 1.0)
+        dx *= scale[:, None]
+        # backtracking: halve steps on rows whose residual would grow
+        step = np.ones(rows.size)
+        for _ in range(6):
+            znew = f(ta + step[:, None] * dx, Va)
+            worse = np.linalg.norm(znew, axis=1) > norms
+            if not worse.any():
+                break
+            step[worse] *= 0.5
+        t[rows] = ta + step[:, None] * dx
+    return t, flat
+
+
 def batched_switched_match(pi_obs: AuxEstimate, model: ModelSpec, est: Estimator,
-                           U: np.ndarray, cfg: SolverConfig = SolverConfig()):
+                           U: np.ndarray):
     """Solve all B switched matching problems of one replicate together.
 
-    ``U`` holds the B noise blocks as rows.  A damped Newton iteration with a
-    finite-difference Jacobian runs on the unconstrained coordinates of the
-    whole batch, then again from the median of the solved rows for the rest.
-    A row still unsolved restarts, by the same iteration, from the box centre
-    and then from the midpoint of the first start and the centre, but only
-    when its iterate has no re-estimate (a non-finite gap) or it stopped on
-    a zero Jacobian; the others keep their iterate and come back
-    unconverged.
+    ``U`` holds the B noise blocks as rows.  The damped Newton iteration
+    :func:`_newton` runs on the unconstrained coordinates of the whole batch,
+    then again from the median of the solved rows for the rest.  A row still
+    unsolved restarts, by the same iteration, from the box centre and then
+    from the midpoint of the first start and the centre, but only when its
+    iterate has no re-estimate (a non-finite gap) or it stopped on a zero
+    Jacobian; the others keep their iterate and come back unconverged.
     Returns ``(thetas (B,p), deltas (B,), converged (B,), row_evals)``.
     """
     if not est.has_z:
         raise NoZFunction(f"{est.name} exposes no Z-function")
     B = U.shape[0]
-    p = model.p
     transform = BoxTransform(model.box)
     pi = pi_obs.pi
     evals = 0
@@ -261,81 +319,20 @@ def batched_switched_match(pi_obs: AuxEstimate, model: ModelSpec, est: Estimator
                                    pi), dtype=float)
         return np.where(np.isfinite(z), z, 1e8)
 
-    def newton_pass(t, V):
-        """Newton on every row of ``t``, row i solving on noise row V[i].
-
-        Updates ``t`` in place; returns it and whether each row stopped on a
-        zero Jacobian.
-        """
-        active = np.ones(t.shape[0], dtype=bool)
-        flat = np.zeros(t.shape[0], dtype=bool)
-        h = 1e-7
-        for _ in range(_MAX_ITER):
-            rows = np.flatnonzero(active)
-            if rows.size == 0:
-                break
-            ta, Va = t[rows], V[rows]
-            z = zfun(ta, Va)
-            norms = np.linalg.norm(z, axis=1)
-            done = norms < 1e-11
-            if done.any():
-                active[rows[done]] = False
-                keep = ~done
-                rows, ta, Va, z, norms = (rows[keep], ta[keep], Va[keep],
-                                          z[keep], norms[keep])
-                if rows.size == 0:
-                    break
-            J = np.empty((rows.size, p, p))
-            for j in range(p):
-                tp = ta.copy()
-                tp[:, j] += h
-                J[:, :, j] = (zfun(tp, Va) - z) / h
-            zero = np.all(J == 0.0, axis=(1, 2))
-            if zero.any():
-                # no Newton direction: the row would never move again
-                flat[rows[zero]] = True
-                active[rows[zero]] = False
-                keep = ~zero
-                rows, ta, Va, z, norms, J = (rows[keep], ta[keep], Va[keep],
-                                             z[keep], norms[keep], J[keep])
-                if rows.size == 0:
-                    break
-            try:
-                dx = -np.linalg.solve(J, z[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                dx = np.stack([-np.linalg.lstsq(J[i], z[i], rcond=None)[0]
-                               for i in range(rows.size)])
-            bad = ~np.all(np.isfinite(dx), axis=1)
-            if bad.any():
-                dx[bad] = 0.0
-                active[rows[bad]] = False  # unsolved; see the restart rule below
-            big = np.max(np.abs(dx), axis=1)
-            scale = np.where(big > 4.0, 4.0 / np.maximum(big, 1e-300), 1.0)
-            dx *= scale[:, None]
-            # backtracking: halve steps on rows whose residual would grow
-            step = np.ones(rows.size)
-            for _ in range(6):
-                znew = zfun(ta + step[:, None] * dx, Va)
-                worse = np.linalg.norm(znew, axis=1) > norms
-                if not worse.any():
-                    break
-                step[worse] *= 0.5
-            t[rows] = ta + step[:, None] * dx
-        return t, flat
-
     def solved_rows(t):
         z = zfun(t, U)
         return np.linalg.norm(z, axis=1) < 1e-9 * max(1.0, float(np.linalg.norm(pi)))
 
-    t0 = transform.to_unconstrained(_initial_theta(cfg, pi_obs, model, transform))
-    t, flat = newton_pass(np.tile(t0, (B, 1)), U)
+    t0 = transform.to_unconstrained(_initial_theta(pi_obs, model, transform))
+    t, flat = _newton(zfun, np.tile(t0, (B, 1)), U)
     ok = solved_rows(t)
 
     # The solutions of one batch cluster: a second pass started from the
     # coordinate-wise median of the solved rows rescues most strays.
     if ok.any() and not ok.all():
         t_med = np.median(t[ok], axis=0)
-        t[~ok], flat[~ok] = newton_pass(np.tile(t_med, (B - ok.sum(), 1)), U[~ok])
+        t[~ok], flat[~ok] = _newton(zfun, np.tile(t_med, (B - ok.sum(), 1)),
+                                    U[~ok])
         ok = solved_rows(t)
 
     thetas = transform.to_box(t)
@@ -356,14 +353,14 @@ def batched_switched_match(pi_obs: AuxEstimate, model: ModelSpec, est: Estimator
     for start in (center, 0.5 * (t0 + center)):
         if retry.size == 0:
             break
-        t_r, _ = newton_pass(np.tile(start, (retry.size, 1)), U[retry])
+        t_r, _ = _newton(zfun, np.tile(start, (retry.size, 1)), U[retry])
         thetas_r = transform.to_box(t_r)
         deltas_r = _batch_deltas(pi_obs, model, est, thetas_r, U[retry])
         better = deltas_r < deltas[retry]
         thetas[retry[better]] = thetas_r[better]
         deltas[retry[better]] = deltas_r[better]
-        retry = retry[deltas[retry] > cfg.tol_delta]
-    converged = deltas <= cfg.tol_delta
+        retry = retry[deltas[retry] > _TOL_DELTA]
+    converged = deltas <= _TOL_DELTA
     return thetas, deltas, converged, evals
 
 

@@ -20,8 +20,8 @@ from implicit_boot.estimators import (CensoredMeanEstimator, FrechetMLE,
 from implicit_boot.harness import (ScenarioConfig, _replicate_stats,
                                    run_bench, run_coverage, run_exact_check,
                                    setup)
-from implicit_boot.matcher import (InitRule, SolverConfig, closed_form_match,
-                                   nested_match, switched_match)
+from implicit_boot.matcher import (closed_form_match, nested_match,
+                                   switched_match)
 from implicit_boot.models import make_model
 from implicit_boot.rng import (MasterSeed, RandomBlock, Role, StreamKey,
                                derive_seed, draw_block, draw_uniforms)
@@ -129,7 +129,6 @@ def test_criterion_05_perfect_matching_fixed_point(name, make_est, theta0, n):
     model = make_model(name, n=n)
     est = make_est(model)
     theta0 = np.asarray(theta0)
-    cfg = SolverConfig(init_rule=InitRule.USER, init=theta0)
     for i in range(20):
         w = _block(5000 + i, model.noise_dim(n))
         data = model.simulate(theta0, w)
@@ -139,9 +138,9 @@ def test_criterion_05_perfect_matching_fixed_point(name, make_est, theta0, n):
         gap0 = float(np.linalg.norm(
             pi_obs.pi - est.estimate(model.simulate(theta0, w)).pi))
         assert gap0 == 0.0, f"{name} instance {i}: gap {gap0:g} at theta0"
-        res = nested_match(pi_obs, model, est, w, cfg)
+        res = nested_match(pi_obs, model, est, w, init=theta0)
         assert res.delta == 0.0, f"{name} instance {i}: delta {res.delta:g}"
-        assert np.max(np.abs(res.theta_check - theta0)) <= cfg.tol_x
+        assert np.max(np.abs(res.theta_check - theta0)) <= 1e-10
 
 
 # -------------------------------------------------------------- criterion 6

@@ -93,6 +93,21 @@ def test_ci_solver_failure_has_its_own_exit_code(tmp_path, capsys):
     assert "no sign change" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kw", [
+    dict(model="lomax", theta0=[1.0], estimator="lomax_mle"),
+    dict(model="lomax", theta0=[-1.0, 1.5], estimator="lomax_mle"),
+    dict(model="mg1", theta0=[0.9, 0.3, 1.0], estimator="frechet_mle"),
+    dict(model="student_t_censored", n=754, estimator="t_naive_mle",
+         theta0=[4.0, -1.0, 1.5, -0.5, -1.5, 1.4, 6.0]),
+], ids=["short_theta0", "theta0_outside_box", "mg1_theta1_above_theta2",
+        "censored_t_n_beyond_design"])
+def test_invalid_model_config_is_a_config_error(tmp_path, capsys, kw):
+    code = main(["simulate-coverage", "--config", _write_cfg(tmp_path, **kw),
+                 "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "clismoke" in capsys.readouterr().err
+
+
 def test_plot_rejects_malformed_csv(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("nonsense\n")

@@ -543,6 +543,30 @@ def test_indirect_inference_removes_the_weighting_bias():
     np.testing.assert_allclose(corrected, truth, rtol=0.2)
 
 
+def test_indirect_inference_solves_a_small_weighted_fit():
+    # an n = 50 draw on which a hybr / Nelder-Mead search ends at a gap of
+    # 1e10, the value of a simulated sample without a weighted fit
+    model = make_model("lomax")
+    ms = MasterSeed(0)
+    data = model.simulate([1.0, 1.5], draw_block(
+        derive_seed(ms, StreamKey(301, Role.OBSERVED)), 50))
+    wmle = LomaxNaiveWMLE()
+    theta = indirect_inference_correct(data, model, wmle, H=50, master=ms)
+    U = draw_uniforms(derive_seeds(ms, 0, Role.INNER, np.arange(1, 51),
+                                   salt=2), 50)
+    sims = wmle.estimate_batch(model.simulate_batch(
+        np.tile(theta.values, (50, 1)), U))
+    gap = np.linalg.norm(np.mean(sims, axis=0) - wmle.estimate(data).pi)
+    assert gap <= 1e-8
+
+
+def test_indirect_inference_needs_a_square_system():
+    model = make_model("lomax")
+    data = model.simulate([1.0, 1.5], _block(16, 50))
+    with pytest.raises(DomainError):
+        indirect_inference_correct(data, model, CensoredMeanEstimator(), H=5)
+
+
 def test_indirect_inference_rejects_empty_budget():
     model, est = make_model("lomax"), LomaxMLE()
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Matching solvers: coordinate transforms, path agreement, batch parity."""
 
+import ast
+import pathlib
 import warnings
 
 import numpy as np
@@ -13,8 +15,7 @@ from implicit_boot.errors import (DegenerateSample, NoZFunction,
 from implicit_boot.estimators import (AuxEstimate, CensoredMeanEstimator,
                                       FrechetMLE, LomaxMLE, ParetoMLE,
                                       SampleMaxEstimator)
-from implicit_boot.matcher import (BoxTransform, InitRule, MatchPath,
-                                   MatchResult, SolverConfig,
+from implicit_boot.matcher import (BoxTransform, MatchPath, MatchResult,
                                    batched_switched_match, closed_form_match,
                                    nested_match, switched_match)
 from implicit_boot.models import Box, make_model
@@ -122,12 +123,35 @@ def test_closed_form_rejects_unknown_example():
 
 def test_user_init_rule_requires_a_point():
     model, est, pi, star = _uniform_instance(2)
-    cfg = SolverConfig(init_rule=InitRule.USER)
-    with pytest.raises(ValueError):
-        switched_match(pi, model, est, star, cfg)
-    cfg2 = SolverConfig(init_rule=InitRule.USER, init=np.array([1.5]))
-    res = switched_match(pi, model, est, star, cfg2)
+    res = nested_match(pi, model, est, star, init=np.array([1.5]))
     assert res.converged
+
+
+def test_one_newton_and_no_solver_config():
+    # only the nested path's Nelder-Mead uses scipy.optimize; the switched
+    # solver and the indirect-inference correction share one Newton
+    src = pathlib.Path(matcher.__file__).parent
+    optimizers, defined, functions = set(), set(), {}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name if isinstance(node, ast.Import)
+                         else f"{node.module}.{a.name}" for a in node.names]
+                if any(m.startswith("scipy.optimize") for m in names):
+                    optimizers.add(path.name)
+            elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                defined.add(node.name)
+                functions[node.name] = node
+            elif isinstance(node, ast.Assign):
+                defined |= {t.id for t in node.targets
+                            if isinstance(t, ast.Name)}
+    assert optimizers == {"matcher.py"}
+    assert not {"SolverConfig", "InitRule"} & defined
+    for name in ("batched_switched_match", "indirect_inference_correct"):
+        assert any(isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Name)
+                   and node.func.id == "_newton"
+                   for node in ast.walk(functions[name])), name
 
 
 def test_match_result_theta_is_immutable():
