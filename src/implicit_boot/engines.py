@@ -20,7 +20,8 @@ model's ``default_psi``; an integer j: coordinate j).  Engines call it once
 on all B draws, and on a one-row array for a single point; a psi that does
 not return k values raises :class:`DomainError`.  ``observed_information``
 likewise scores its log-likelihood on rows, the stencil points of every point
-in one call: the bootstrap-t scales all its draws with one ``loglik_batch``.
+in one call: the bootstrap-t scales its draws with one ``loglik_batch`` per
+block of 64.
 
 ``METHOD_REGISTRY`` maps each :class:`CIMethod` name to a function that
 fits once and returns an :class:`IntervalFamily`, the method's intervals
@@ -339,15 +340,26 @@ def _psi_gradient(psi, thetas: np.ndarray) -> np.ndarray:
     return (f[:, :p] - f[:, p:]) / (2.0 * h)
 
 
+_SCORE_BLOCK = 64  # points whose stencils one loglik_batch call scores
+
+
 def _delta_method_sigma(model, psi, thetas, batch) -> np.ndarray:
     """Delta-method scales of psi at the rows of ``thetas`` (k, p), row i
     from its observed information on sample i of ``batch``.  NaN where the
     information is singular (a zero pivot: ``np.linalg.solve`` raises and
-    ``slogdet`` has sign 0) or the variance is not finite and positive."""
-    k = thetas.shape[0]
-    info = observed_information(lambda rows: model.loglik_batch(
-        rows, batch.rows(np.repeat(np.arange(k), rows.shape[0] // k))),
-        thetas, model.box)
+    ``slogdet`` has sign 0) or the variance is not finite and positive.
+    The informations are scored ``_SCORE_BLOCK`` points per call, so the
+    memory does not grow with k."""
+    k, p = thetas.shape
+    info = np.empty((k, p, p))
+    for start in range(0, k, _SCORE_BLOCK):
+        part = slice(start, start + _SCORE_BLOCK)
+        samples = batch.rows(part)
+        m = samples.y.shape[0]
+        info[part] = observed_information(
+            lambda rows: model.loglik_batch(rows, samples.rows(
+                np.repeat(np.arange(m), rows.shape[0] // m))),
+            thetas[part], model.box)
     g = _psi_gradient(psi, thetas)
     with np.errstate(invalid="ignore"):
         ok = np.linalg.slogdet(info)[0] != 0.0

@@ -303,6 +303,12 @@ def batched_switched_match(pi_obs: AuxEstimate, model: ModelSpec, est: Estimator
     from the midpoint of the first start and the centre, but only when its
     iterate has no re-estimate (a non-finite gap) or it stopped on a zero
     Jacobian; the others keep their iterate and come back unconverged.
+
+    Within one solve, the model's ``noise_batch`` is computed again only
+    when the noise rows are a different array or the parameter moved on
+    ``noise_coords``: a Newton iteration's base evaluation and its
+    Jacobian columns in the other coordinates share one.  For the censored
+    t, 6 of its 7 columns reuse the base evaluation's t quantiles.
     Returns ``(thetas (B,p), deltas (B,), converged (B,), row_evals)``.
     """
     if not est.has_z:
@@ -310,12 +316,19 @@ def batched_switched_match(pi_obs: AuxEstimate, model: ModelSpec, est: Estimator
     B = U.shape[0]
     transform = BoxTransform(model.box)
     pi = pi_obs.pi
+    coords = list(model.noise_coords)
     evals = 0
+    memo_V = memo_key = memo_noise = None  # the last noise_batch call
 
     def zfun(t, V):
-        nonlocal evals
+        nonlocal evals, memo_V, memo_key, memo_noise
         evals += t.shape[0]
-        z = np.asarray(est.z_batch(model.simulate_batch(transform.to_box(t), V),
+        thetas = transform.to_box(t)
+        key = thetas[:, coords]
+        if V is not memo_V or key.tobytes() != memo_key.tobytes():
+            memo_V, memo_key, memo_noise = V, key, model.noise_batch(thetas, V)
+        z = np.asarray(est.z_batch(model.simulate_batch(thetas, V,
+                                                        noise=memo_noise),
                                    pi), dtype=float)
         return np.where(np.isfinite(z), z, 1e8)
 

@@ -3,7 +3,11 @@
 Each model is a pure, stateless map ``(thetas, U) -> BatchDataset`` built
 from quantile transforms of open-interval uniforms, so the noise
 distribution never depends on the parameter.  ``simulate(theta, block)`` is
-the same map on a batch of one.  A likelihood is written once too, as the
+the same map on a batch of one.  A model whose transform begins with a
+costly map of the uniforms declares it as ``noise_batch(thetas, U)`` and
+the coordinates that map reads as ``noise_coords``; ``simulate_batch``
+accepts its result as ``noise=``, so a solver that moves only the other
+coordinates computes it once.  A likelihood is written once too, as the
 row-wise ``loglik_batch``, so the engines' observed information scores all
 its stencil points in one call; ``loglik(theta, data)`` is a batch of one.
 """
@@ -141,16 +145,29 @@ class ModelSpec:
     rows and B noise rows in, a :class:`BatchDataset` of B samples out.
     ``simulate`` is that transform on a batch of one, after ``_check``; a
     model with constraints beyond its box extends ``_check``.
+
+    ``noise_batch(thetas, U)`` is the first step of that transform, the map
+    of the uniforms before the other parameters enter, and ``noise_coords``
+    names the coordinates of ``thetas`` it reads.  ``simulate_batch(thetas,
+    U, noise=noise_batch(thetas2, U))`` returns the same bits as
+    ``simulate_batch(thetas, U)`` whenever ``thetas2`` equals ``thetas`` on
+    ``noise_coords``.  By default the step is the identity, reads no
+    coordinate, and ``simulate_batch`` ignores ``noise``.
     """
 
     name: str = ""
     p: int = 0
     box: Box
+    noise_coords: tuple[int, ...] = ()
 
     def noise_dim(self, n: int) -> int:
         return n
 
-    def simulate_batch(self, thetas: np.ndarray, U: np.ndarray) -> BatchDataset:
+    def noise_batch(self, thetas: np.ndarray, U: np.ndarray):
+        return U
+
+    def simulate_batch(self, thetas: np.ndarray, U: np.ndarray,
+                       noise=None) -> BatchDataset:
         raise NotImplementedError
 
     def simulate(self, theta: np.ndarray, block: RandomBlock) -> Dataset:
@@ -194,7 +211,7 @@ class UniformScaleModel(ModelSpec):
     def __init__(self):
         self.box = Box(np.array([0.0]), np.array([np.inf]))
 
-    def simulate_batch(self, thetas, U):
+    def simulate_batch(self, thetas, U, noise=None):
         return BatchDataset(y=np.asarray(thetas)[:, :1] * U)
 
 
@@ -207,7 +224,7 @@ class ParetoModel(ModelSpec):
     def __init__(self):
         self.box = Box(np.zeros(2), np.full(2, np.inf))
 
-    def simulate_batch(self, thetas, U):
+    def simulate_batch(self, thetas, U, noise=None):
         thetas = np.asarray(thetas, dtype=float)
         mu, alpha = thetas[:, :1], thetas[:, 1:2]
         return BatchDataset(y=mu * (1.0 - U) ** (-1.0 / alpha))
@@ -222,7 +239,7 @@ class LomaxModel(ModelSpec):
     def __init__(self):
         self.box = Box(np.zeros(2), np.full(2, np.inf))
 
-    def simulate_batch(self, thetas, U):
+    def simulate_batch(self, thetas, U, noise=None):
         thetas = np.asarray(thetas, dtype=float)
         b, q = thetas[:, :1], thetas[:, 1:2]
         return BatchDataset(y=b * ((1.0 - U) ** (-1.0 / q) - 1.0))
@@ -250,7 +267,7 @@ class AndrewsModel(ModelSpec):
     def __init__(self):
         self.box = Box(np.array([-1e-12]), np.array([np.inf]))
 
-    def simulate_batch(self, thetas, U):
+    def simulate_batch(self, thetas, U, noise=None):
         return BatchDataset(y=np.asarray(thetas)[:, :1] + special.ndtri(U))
 
     def loglik_batch(self, thetas, batch):
@@ -278,6 +295,7 @@ class StudentTCensoredModel(ModelSpec):
 
     name = "student_t_censored"
     p = 7
+    noise_coords = (6,)  # the t quantiles read nu only
 
     def __init__(self, n: int):
         lo = np.concatenate([np.full(5, -np.inf), [0.0, 0.3]])
@@ -290,10 +308,14 @@ class StudentTCensoredModel(ModelSpec):
         self.X.setflags(write=False)
         self._n = n
 
-    def simulate_batch(self, thetas, U):
+    def noise_batch(self, thetas, U):
+        nu = np.asarray(thetas, dtype=float)[:, 6:7]
+        return student_t_quantile(U, np.broadcast_to(nu, U.shape))
+
+    def simulate_batch(self, thetas, U, noise=None):
         thetas = np.asarray(thetas, dtype=float)
-        beta, sigma, nu = thetas[:, :5], thetas[:, 5:6], thetas[:, 6:7]
-        eps = student_t_quantile(U, np.broadcast_to(nu, U.shape))
+        beta, sigma = thetas[:, :5], thetas[:, 5:6]
+        eps = self.noise_batch(thetas, U) if noise is None else noise
         y = _linear_predictor(beta, self.X) + sigma * eps
         d = (y > 0.0).astype(float)
         return BatchDataset(y=y * d, X=self.X, censored=d)
@@ -431,12 +453,18 @@ class MG1QueueModel(ModelSpec):
             raise OutOfBox(f"mg1 requires theta1 < theta2, got {theta}")
         return theta
 
-    def simulate_batch(self, thetas, U):
+    def noise_batch(self, thetas, U):
+        """Service uniforms and unit-rate exponential inter-arrival times;
+        no parameter enters."""
+        n = U.shape[1] // 2
+        return U[:, :n], -np.log1p(-U[:, n:])
+
+    def simulate_batch(self, thetas, U, noise=None):
         thetas = np.asarray(thetas, dtype=float)
         t1, t2, t3 = thetas[:, :1], thetas[:, 1:2], thetas[:, 2:3]
-        n = U.shape[1] // 2
-        s = t1 + (t2 - t1) * U[:, :n]
-        v = -np.log1p(-U[:, n:]) / t3
+        u, e = self.noise_batch(thetas, U) if noise is None else noise
+        s = t1 + (t2 - t1) * u
+        v = e / t3
         a = np.cumsum(v, axis=1)
         # d_i = max(d_{i-1}, a_i) + s_i with d_0 = 0 unrolls to
         # d_i = S_i + max_{j<=i}(a_j - S_{j-1}), S_i = cumsum(s).

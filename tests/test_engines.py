@@ -1,6 +1,7 @@
 """Interval engines: quantile algebra, engine contracts, baseline methods."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -390,9 +391,9 @@ def test_censored_t_percentile_bootstrap_fits_its_draws_in_one_batch(monkeypatch
 
 def test_studentized_bootstrap_fits_and_scores_its_draws_in_one_batch(
         monkeypatch):
-    # Lomax n=50, B=300: the B refits are one estimate_batch call and the
-    # informations of all of them one loglik_batch call; the observed fit
-    # and its scale are batches of one
+    # Lomax n=50, B=300: the B refits are one estimate_batch call and their
+    # informations one loglik_batch call per block of 64 draws; the observed
+    # fit and its scale are batches of one
     model, est = make_model("lomax"), LomaxMLE()
     master = MasterSeed(12)
     data = model.simulate([1.0, 1.5], draw_block(
@@ -414,9 +415,32 @@ def test_studentized_bootstrap_fits_and_scores_its_draws_in_one_batch(
     ci = studentized_bootstrap(data, model, est, psi=1, B=300, master=master)
     assert [rows for rows, _ in fits] == [1, 300]
     no_fit = fits[1][1]
-    assert scored == [9, 9 * (300 - no_fit)]  # 1 + 2p^2 stencil points each
+    assert no_fit == 1
+    # 1 + 2p^2 = 9 stencil points each: the observed fit, then 299 draws in
+    # blocks of 64
+    assert scored == [9, 9 * 64, 9 * 64, 9 * 64, 9 * 64, 9 * 43]
     assert ci.meta["B"] + ci.meta["failed"] == 300
     assert ci.meta["failed"] >= no_fit
+
+
+def test_censored_t_studentized_bootstrap_memory_does_not_grow_with_B():
+    # criterion-7 config, replicate 0, B=200: scoring the 99 stencil points
+    # of all 200 draws in one loglik_batch call peaked at about 110 MB
+    model = make_model("student_t_censored", n=100)
+    est = StudentTCensoredMLE(model)
+    theta0 = [4.0, -1.0, 1.5, -0.5, -1.5, 1.4142135623730951, 2.0]
+    master = MasterSeed(0)
+    data = model.simulate(theta0, draw_block(
+        derive_seed(master, StreamKey(0, Role.OBSERVED)), 100))
+    tracemalloc.start()
+    try:
+        ci = studentized_bootstrap(data, model, est, psi=1, B=200,
+                                   master=master)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ci.meta["B"] == 200
+    assert peak < 60e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def _per_draw_studentized(data, model, est, j, B, master):

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from implicit_boot import engines, exact, matcher
+from implicit_boot import engines, exact, matcher, models
 from implicit_boot.errors import (DegenerateSample, NoZFunction,
                                   UnsupportedExample)
 from implicit_boot.estimators import (AuxEstimate, CensoredMeanEstimator,
                                       FrechetMLE, LomaxMLE, ParetoMLE,
-                                      SampleMaxEstimator)
+                                      SampleMaxEstimator, StudentTNaiveMLE)
 from implicit_boot.matcher import (BoxTransform, MatchPath, MatchResult,
                                    batched_switched_match, closed_form_match,
                                    nested_match, switched_match)
@@ -348,3 +348,58 @@ def test_batched_uniform_matches_closed_form():
     assert conv.all()
     ref = pi.pi[0] / np.max(U, axis=1)
     np.testing.assert_allclose(thetas[:, 0], ref, rtol=1e-9)
+
+
+# ------------------------------------------------------- noise reuse in a solve
+
+def _criterion7_replicate0():
+    """Observed naive t fit and the B=200 noise blocks of replicate 0 of the
+    criterion-7 censored-t config (n=100, master seed 0)."""
+    model, est = make_model("student_t_censored", n=100), StudentTNaiveMLE()
+    master = MasterSeed(0)
+    theta0 = [4.0, -1.0, 1.5, -0.5, -1.5, 1.4142135623730951, 2.0]
+    data = model.simulate(theta0, draw_block(
+        derive_seed(master, StreamKey(0, Role.OBSERVED)), 100))
+    U = draw_uniforms(derive_seeds(master, 0, Role.BOOT, np.arange(1, 201)), 100)
+    return est.estimate(data), model, est, U
+
+
+def _mg1_case():
+    model, est = make_model("mg1"), FrechetMLE()
+    m = model.noise_dim(60)
+    pi = est.estimate(model.simulate([0.3, 0.9, 1.0], _block(400, m)))
+    U = draw_uniforms(derive_seeds(MS, 400, Role.BOOT, np.arange(1, 41)), m)
+    return pi, model, est, U
+
+
+@pytest.mark.parametrize("case", [_criterion7_replicate0, _mg1_case],
+                         ids=["censored-t", "mg1"])
+def test_reused_noise_moves_no_bit(monkeypatch, case):
+    # a noise step declared to read every coordinate is computed again on
+    # every move of the parameter, as before the solve reused it
+    pi, model, est, U = case()
+    with np.errstate(all="ignore"):
+        reused = batched_switched_match(pi, model, est, U)
+        monkeypatch.setattr(type(model), "noise_coords", tuple(range(model.p)))
+        fresh = batched_switched_match(pi, model, est, U)
+    for a, b in zip(reused[:3], fresh[:3]):
+        assert a.tobytes() == b.tobytes()
+    assert reused[3] == fresh[3]
+
+
+def test_censored_t_solve_reuses_its_t_quantiles(monkeypatch):
+    # the base evaluation of a Newton iteration and its six Jacobian columns
+    # in (beta, sigma) share one inversion of the t CDF; the nu column, each
+    # backtracking step and the gap re-estimates invert again
+    pi, model, est, U = _criterion7_replicate0()
+    rows = []
+    quantile = models.student_t_quantile
+
+    def counted(u, nu):
+        rows.append(np.shape(u)[0])
+        return quantile(u, nu)
+
+    monkeypatch.setattr(models, "student_t_quantile", counted)
+    _, _, conv, row_evals = batched_switched_match(pi, model, est, U)
+    assert conv.all()
+    assert sum(rows) <= 0.5 * row_evals, f"{sum(rows)} of {row_evals} rows"

@@ -161,6 +161,11 @@ def test_batched_simulation_matches_scalar_rows(name):
     m = model.noise_dim(30)
     U = np.vstack([_block(10 + i, m).u for i in range(3)])
     batch = model.simulate_batch(thetas, U)
+    # the declared noise step, passed in, moves no bit
+    given = model.simulate_batch(thetas, U, noise=model.noise_batch(thetas, U))
+    assert given.y.tobytes() == batch.y.tobytes()
+    if batch.censored is not None:
+        assert given.censored.tobytes() == batch.censored.tobytes()
     for i in range(3):
         ref = _reference_row(model, thetas[i], U[i])
         np.testing.assert_allclose(batch.y[i], ref, rtol=1e-12, atol=1e-12)
