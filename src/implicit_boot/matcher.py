@@ -227,23 +227,36 @@ def _newton(f, t, V):
     ``V[i]``.
 
     ``f(ta, Va)`` maps k rows of unconstrained coordinates and their k noise
-    rows to the (k, p) residuals.  The Jacobian is a forward difference
-    (step 1e-7); a step is capped at 4 in any coordinate and halved up to six
-    times while the residual norm would grow.  A row stops once its norm is
-    below 1e-11, its step is not finite, its Jacobian is zero, or after
-    ``_MAX_ITER`` iterations.  Updates ``t`` in place; returns it and
-    whether each row stopped on a zero Jacobian.
+    rows to the (k, p) residuals; a row's residual must not depend on the
+    other rows of the call.  The Jacobian is a forward difference (step
+    1e-7).  A step is capped at 4 in any coordinate and tried at most six
+    times, halved after each trial whose residual norm would grow; a row
+    still worse at the sixth trial takes the untried 1/64 step.  Each trial
+    scores only the rows still worse, and an accepted trial's residual is
+    the next iteration's base, so no point of a row is scored twice.  A row
+    stops once its norm is below 1e-11, its step is not finite, its
+    Jacobian is zero, or after ``_MAX_ITER`` iterations.  Updates ``t`` in
+    place; returns it and whether each row stopped on a zero Jacobian.
     """
     p = t.shape[1]
     active = np.ones(t.shape[0], dtype=bool)
     flat = np.zeros(t.shape[0], dtype=bool)
+    carried = np.zeros(t.shape[0], dtype=bool)  # zs holds the row's residual
+    zs = np.empty(t.shape)
     h = 1e-7
     for _ in range(_MAX_ITER):
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
         ta, Va = t[rows], V[rows]
-        z = f(ta, Va)
+        fresh = ~carried[rows]
+        if fresh.all():
+            z = f(ta, Va)  # Va itself keeps the noise memo for the columns
+        else:
+            z = zs[rows]
+            if fresh.any():
+                z[fresh] = f(ta[fresh], Va[fresh])
+        carried[rows] = False
         norms = np.linalg.norm(z, axis=1)
         done = norms < 1e-11
         if done.any():
@@ -280,14 +293,21 @@ def _newton(f, t, V):
         big = np.max(np.abs(dx), axis=1)
         scale = np.where(big > 4.0, 4.0 / np.maximum(big, 1e-300), 1.0)
         dx *= scale[:, None]
-        # backtracking: halve steps on rows whose residual would grow
+        # backtracking: halve the steps of the rows whose residual would grow
         step = np.ones(rows.size)
+        trial = np.flatnonzero(~bad)
         for _ in range(6):
-            znew = f(ta + step[:, None] * dx, Va)
-            worse = np.linalg.norm(znew, axis=1) > norms
-            if not worse.any():
+            if trial.size == 0:
                 break
-            step[worse] *= 0.5
+            # the whole set passes Va itself, which keeps the noise memo
+            znew = f(ta[trial] + step[trial, None] * dx[trial],
+                     Va if trial.size == rows.size else Va[trial])
+            worse = np.linalg.norm(znew, axis=1) > norms[trial]
+            accepted = rows[trial[~worse]]
+            zs[accepted] = znew[~worse]
+            carried[accepted] = True
+            trial = trial[worse]
+            step[trial] *= 0.5
         t[rows] = ta + step[:, None] * dx
     return t, flat
 
@@ -306,9 +326,12 @@ def batched_switched_match(pi_obs: AuxEstimate, model: ModelSpec, est: Estimator
 
     Within one solve, the model's ``noise_batch`` is computed again only
     when the noise rows are a different array or the parameter moved on
-    ``noise_coords``: a Newton iteration's base evaluation and its
-    Jacobian columns in the other coordinates share one.  For the censored
-    t, 6 of its 7 columns reuse the base evaluation's t quantiles.
+    ``noise_coords``: a Newton iteration's Jacobian columns in the other
+    coordinates share one, and for noise that reads no coordinate (the
+    M/G/1 queue) so does a backtracking trial of all the iteration's rows.
+    The iteration's base is carried forward from the previous trial, so for
+    the censored t the first (beta, sigma) column inverts the t CDF and the
+    other five reuse its quantiles.
     Returns ``(thetas (B,p), deltas (B,), converged (B,), row_evals)``.
     """
     if not est.has_z:

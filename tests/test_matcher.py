@@ -15,6 +15,7 @@ from implicit_boot.errors import (DegenerateSample, NoZFunction,
 from implicit_boot.estimators import (AuxEstimate, CensoredMeanEstimator,
                                       FrechetMLE, LomaxMLE, ParetoMLE,
                                       SampleMaxEstimator, StudentTNaiveMLE)
+from implicit_boot.harness import make_estimator
 from implicit_boot.matcher import (BoxTransform, MatchPath, MatchResult,
                                    batched_switched_match, closed_form_match,
                                    nested_match, switched_match)
@@ -388,9 +389,11 @@ def test_reused_noise_moves_no_bit(monkeypatch, case):
 
 
 def test_censored_t_solve_reuses_its_t_quantiles(monkeypatch):
-    # the base evaluation of a Newton iteration and its six Jacobian columns
-    # in (beta, sigma) share one inversion of the t CDF; the nu column, each
-    # backtracking step and the gap re-estimates invert again
+    # a Newton iteration's base is the previous iteration's accepted trial,
+    # scored there; its first Jacobian column in (beta, sigma) inverts the
+    # t CDF and the other five reuse that inversion.  The nu column, each
+    # backtracking step, the base of a row that took the untried step and
+    # the gap re-estimates invert again
     pi, model, est, U = _criterion7_replicate0()
     rows = []
     quantile = models.student_t_quantile
@@ -403,3 +406,78 @@ def test_censored_t_solve_reuses_its_t_quantiles(monkeypatch):
     _, _, conv, row_evals = batched_switched_match(pi, model, est, U)
     assert conv.all()
     assert sum(rows) <= 0.5 * row_evals, f"{sum(rows)} of {row_evals} rows"
+
+
+# ------------------------------------------------- each Newton point scored once
+
+@pytest.mark.parametrize("case", [_criterion7_replicate0, _mg1_case],
+                         ids=["censored-t", "mg1"])
+def test_newton_scores_each_point_once(monkeypatch, case):
+    # a halving re-scores only the rows still worse, and an accepted trial's
+    # residual is the next iteration's base: within one Newton call no
+    # parameter row is scored twice on the same noise row
+    pi, model, est, U = case()
+    newton = matcher._newton
+    repeated = []
+
+    def once(f, t, V):
+        seen = set()
+
+        def scored(ta, Va):
+            for theta, v in zip(ta, Va):
+                key = (v.tobytes(), theta.tobytes())
+                if key in seen:
+                    repeated.append(key)
+                seen.add(key)
+            return f(ta, Va)
+
+        return newton(scored, t, V)
+
+    monkeypatch.setattr(matcher, "_newton", once)
+    with np.errstate(all="ignore"):
+        *_, row_evals = batched_switched_match(pi, model, est, U)
+    assert len(repeated) == 0, f"{len(repeated)} points scored again"
+    if case is _mg1_case:
+        # 18,644 when each halving re-scored every row and each iteration
+        # re-scored its base
+        assert row_evals <= 0.75 * 18644, row_evals
+
+
+_SWITCHED_PAIRS = {
+    "lomax": ("lomax_mle", (1.0, 1.5), 50),
+    "mg1": ("frechet_mle", (0.3, 0.9, 1.0), 60),
+    "student_t_censored": ("t_naive_mle", (4.0, -1.0, 1.5, -0.5, -1.5,
+                                           1.4142135623730951, 2.0), 100),
+    "andrews": ("censored_mean", (0.3,), 25),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SWITCHED_PAIRS))
+def test_batch_rows_do_not_depend_on_the_rows_beside_them(name):
+    # Newton scores subsets of its rows and carries residuals from one call
+    # to the next, so each row of a batched simulation, Z evaluation or fit
+    # must come out the same, byte for byte, whatever rows share its call
+    est_name, theta, n = _SWITCHED_PAIRS[name]
+    model = make_model(name, n=n)
+    est = make_estimator(est_name, model)
+    m, B = model.noise_dim(n), 24
+    pi = est.estimate(model.simulate(np.asarray(theta), _block(500, m))).pi
+    transform = BoxTransform(model.box)
+    t = (transform.to_unconstrained(np.asarray(theta))
+         + 0.2 * np.random.default_rng(5).standard_normal((B, model.p)))
+    thetas = transform.to_box(t)
+    U = draw_uniforms(derive_seeds(MS, 500, Role.BOOT, np.arange(1, B + 1)), m)
+    with np.errstate(all="ignore"):
+        full = model.simulate_batch(thetas, U)
+        z = np.asarray(est.z_batch(full, pi), dtype=float)
+        fits = est.estimate_batch(full)
+        for sub in (np.arange(0, B, 3), np.array([23, 5, 11]), np.array([7])):
+            for noise in (None, model.noise_batch(thetas[sub], U[sub])):
+                part = model.simulate_batch(thetas[sub], U[sub], noise=noise)
+                assert part.y.tobytes() == full.y[sub].tobytes()
+                if full.censored is not None:
+                    assert (part.censored.tobytes()
+                            == full.censored[sub].tobytes())
+            assert (np.asarray(est.z_batch(part, pi), dtype=float).tobytes()
+                    == z[sub].tobytes())
+            assert est.estimate_batch(part).tobytes() == fits[sub].tobytes()
